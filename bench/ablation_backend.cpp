@@ -1,5 +1,5 @@
-// Ablation: parallel runtime backend (native work-stealing vs OpenMP vs
-// sequential) on the core primitives. The algorithms only use
+// Ablation: parallel runtime backend (native work-stealing vs sequential)
+// on the core primitives. The algorithms only use
 // par_do/parallel_for, so this isolates the scheduler's contribution.
 //
 // Uses the context API: one pp::context per backend column, activated
@@ -19,10 +19,9 @@ namespace {
 template <typename F>
 void rowbench(const char* name, F f) {
   std::printf("%-18s", name);
-  for (auto b : {pp::backend_kind::sequential, pp::backend_kind::openmp,
-                 pp::backend_kind::native}) {
+  for (auto b : {pp::backend_kind::sequential, pp::backend_kind::native}) {
     pp::context ctx = bench::env_context().with_backend(b);
-    pp::run_scope scope(ctx);  // activation + pool lease / warm-up outside the clock
+    pp::run_scope scope(ctx);  // activation + pool lease outside the clock
     std::printf(" %10.3f", bench::time_s(f));
   }
   std::printf("\n");
@@ -34,8 +33,7 @@ int main() {
   bench::banner("Ablation: scheduler backend on primitives", "Sec. 2 computational model",
                 bench::env_context());
   size_t n = bench::scaled(20'000'000);
-  std::printf("n = %zu\n\n%-18s %10s %10s %10s\n", n, "primitive", "seq(s)", "openmp(s)",
-              "native(s)");
+  std::printf("n = %zu\n\n%-18s %10s %10s\n", n, "primitive", "seq(s)", "native(s)");
 
   std::vector<int64_t> xs(n);
   for (size_t i = 0; i < n; ++i) xs[i] = static_cast<int64_t>(pp::hash64(i) % 1000);
@@ -59,7 +57,7 @@ int main() {
     auto copy = xs;
     pp::sort_inplace(std::span<int64_t>(copy));
   });
-  std::printf("\nNative and OpenMP should be comparable; both beat sequential on\n"
-              "multi-core machines for memory-light primitives.\n");
+  std::printf("\nNative should beat sequential on multi-core machines for\n"
+              "memory-light primitives.\n");
   return 0;
 }

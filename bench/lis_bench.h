@@ -28,7 +28,7 @@ inline void lis_table(const char* pattern_name,
     double tc = time_s([&] { classic = pp::lis_sequential(a); });
     double tos;
     {
-      pp::scoped_backend sb(pp::backend_kind::sequential);
+      pp::scoped_context seq(pp::current_context().with_backend(pp::backend_kind::sequential));
       tos = time_s([&] { ours_seq = pp::lis_parallel(a, pp::pivot_policy::rightmost, 1); });
     }
     double top;

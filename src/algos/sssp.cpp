@@ -42,20 +42,31 @@ namespace {
 // Relax all out-edges of `frontier` satisfying `edge_ok(w)`. Returns the
 // deduplicated list of vertices whose distance improved. `claimed` must be
 // all-zero on entry and is restored to all-zero on exit.
+//
+// Each frontier vertex relaxes from its distance as of the start of the
+// substep, loaded before any edge is relaxed: a frontier vertex may be
+// lowered by a neighbor in the same substep, and reading it mid-substep
+// would make the improved set (and so rounds/processed) depend on thread
+// interleaving. A lowered vertex is returned as changed and re-relaxed
+// from its new distance in the next substep.
 std::vector<vertex_t> relax_edges(const wgraph& g, std::span<std::atomic<int64_t>> dist,
                                   std::span<const vertex_t> frontier,
                                   std::vector<std::atomic<uint8_t>>& claimed, bool light_only,
                                   uint32_t delta, phase_stats& stats) {
   size_t f = frontier.size();
   std::vector<size_t> offs(f + 1, 0);
-  parallel_for(0, f, [&](size_t i) { offs[i + 1] = g.out_degree(frontier[i]); });
+  std::vector<int64_t> start_dist(f);
+  parallel_for(0, f, [&](size_t i) {
+    offs[i + 1] = g.out_degree(frontier[i]);
+    start_dist[i] = dist[frontier[i]].load(std::memory_order_relaxed);
+  });
   size_t total = scan_inclusive(std::span<size_t>(offs.data() + 1, f), size_t{0},
                                 std::plus<size_t>{});
   constexpr vertex_t kInvalid = 0xFFFFFFFFu;
   std::vector<vertex_t> out(total, kInvalid);
   parallel_for(0, f, [&](size_t i) {
     vertex_t v = frontier[i];
-    int64_t dv = dist[v].load(std::memory_order_relaxed);
+    int64_t dv = start_dist[i];
     auto nbrs = g.out_neighbors(v);
     auto wts = g.out_weights(v);
     for (size_t j = 0; j < nbrs.size(); ++j) {

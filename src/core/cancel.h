@@ -27,19 +27,17 @@
 // Checks are deliberately NOT placed inside parallel_for/par_do:
 //  * a throw on a pool worker thread would escape its job and terminate;
 //  * a throw on the run thread between a fork and its join would abandon a
-//    job another worker is still executing (dangling references);
-//  * the implicit parallel_for form reads the process-wide context slot,
-//    which under concurrent serving executors can hold a *different*
-//    run's context — a token read there could cancel the wrong run.
-// The thread-local install below avoids all three: `run_scope` installs
-// the context's token on the run's own thread only, round boundaries are
+//    job another worker is still executing (dangling references).
+// The thread-local install below avoids both: `run_scope` installs the
+// context's token on the run's own thread only (unlike the context
+// itself, it is not inherited by stolen forks), round boundaries are
 // outside every parallel region, and nested scopes shadow (a token-free
 // nested run is never cancelled by an enclosing token).
 //
 // This contract is enforced mechanically: tools/pplint.py (ctest
 // `test_pplint` + a CI job) rejects any `cancel_point()` that appears
 // lexically inside a parallel_for/par_do call's argument list, so the
-// three failure modes above cannot be reintroduced by a refactor that
+// failure modes above cannot be reintroduced by a refactor that
 // TSan happens not to catch.
 #pragma once
 
@@ -132,8 +130,7 @@ class cancel_token {
 namespace detail {
 // The token governing the run executing on THIS thread (installed by
 // run_scope via scoped_cancel). Thread-local on purpose: pool workers and
-// concurrent executors never observe another run's token, unlike the
-// process-wide context slot.
+// concurrent executors never observe another run's token.
 inline thread_local const cancel_token* tl_cancel = nullptr;
 }  // namespace detail
 

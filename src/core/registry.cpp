@@ -327,12 +327,11 @@ batch_result<solver_value> registry::run_batch_impl(
   };
 
   // The whole batch shares ONE run_scope: the context is installed and the
-  // scheduler bound (pool lease / OpenMP team warm-up) here, once.
-  // Per-item dispatches below construct nested scopes that reuse the
-  // pinned pool, so scheduler acquisition is amortized across the batch —
-  // and nests correctly when run_batch is itself called from inside an
-  // enclosing run (the nested scope is not top-level for the race
-  // detector, and no second lease is taken).
+  // scheduler bound (pool lease) here, once. Per-item dispatches below
+  // construct nested scopes that shadow the batch context with the item's
+  // seed/token and reuse the pinned pool, so scheduler acquisition is
+  // amortized across the batch — and nests correctly when run_batch is
+  // itself called from inside an enclosing run (no second lease is taken).
   run_scope scope(ctx);
   out.workers = scope.workers();
   for (size_t i : order) {

@@ -273,8 +273,8 @@ class registry {
                                       const context& ctx = default_context());
 
   // Batched dispatch: run `name` on every input under ONE run_scope (one
-  // scoped_context + one scheduler binding), so the pool lease / OpenMP
-  // team warm-up is paid once per batch instead of once per item — the
+  // scoped_context + one scheduler binding), so the pool lease is paid
+  // once per batch instead of once per item — the
   // serving-traffic shape. Item i executes under
   // ctx.with_seed(derive_seed(ctx.seed, i)) (unless opts.derive_seeds is
   // off), so results are independent of opts.order and reproducible

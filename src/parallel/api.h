@@ -7,11 +7,15 @@
 // Both come in two forms: an explicit-context overload
 // (`parallel_for(ctx, lo, hi, f)`) and a convenience form that runs under
 // pp::current_context(). Solvers install their context argument with
-// scoped_context at entry, so either form observes the right backend,
-// worker count, and grain.
+// run_scope at entry, so either form observes the right backend, worker
+// count, grain and seed.
+//
+// Inheritance rule: a fork runs under its parent's context. On the native
+// backend the right child of a par_do may be stolen; the job carries the
+// forking thread's current context and the thief installs it while it
+// runs the child, so current_context() is the same on every thread of one
+// run's fork tree — and a concurrent run on another thread never sees it.
 #pragma once
-
-#include <omp.h>
 
 #include <cstddef>
 #include <utility>
@@ -23,79 +27,37 @@
 
 namespace pp {
 
-// The number of workers a run under `ctx` actually executes on. For the
-// native backend: the width of the pool the calling thread is already
-// pinned to (a run keeps its pool from fork to join), else the width a
-// fresh lease would have — ctx.workers, or the PP_THREADS/hardware default
-// when 0. The OpenMP `num_threads` clauses and the auto_grain heuristic
-// read this same value, so every backend agrees on what "W workers" means.
+// The number of workers a run under `ctx` actually executes on: 1 on the
+// sequential backend; on the native backend the width of the pool the
+// calling thread is already pinned to (a run keeps its pool from fork to
+// join), else the width a fresh lease would have — ctx.workers, or the
+// PP_THREADS/hardware default when 0. The auto_grain heuristic reads this
+// same value.
 inline unsigned num_workers(const context& ctx) {
-  switch (ctx.backend) {
-    case backend_kind::sequential:
-      return 1;
-    case backend_kind::openmp:
-      // Inside a parallel region the run executes on the enclosing team,
-      // whatever the context asks for (the nested par_do/parallel_for
-      // paths spawn tasks into it) — report that, mirroring the native
-      // pinned-pool rule below.
-      if (omp_in_parallel()) return static_cast<unsigned>(omp_get_num_threads());
-      return ctx.workers != 0 ? ctx.workers
-                              : static_cast<unsigned>(omp_get_max_threads());
-    case backend_kind::native:
-    default: {
-      if (const detail::work_stealing_pool* pool = detail::this_thread_pool())
-        return pool->num_workers();
-      return detail::resolve_native_workers(ctx.workers);
-    }
-  }
+  if (ctx.backend == backend_kind::sequential) return 1;
+  if (const detail::work_stealing_pool* pool = detail::this_thread_pool())
+    return pool->num_workers();
+  return detail::resolve_native_workers(ctx.workers);
 }
 
 inline unsigned num_workers() { return num_workers(current_context()); }
 
-namespace detail {
-// Nesting depth of scoped_scheduler on this thread; only the outermost
-// binding pays one-time setup (the OpenMP team warm-up).
-inline thread_local int tl_sched_depth = 0;
-}  // namespace detail
-
 // RAII scheduler binding for one top-level run. On the native backend it
 // leases a work-stealing pool of exactly num_workers(ctx) workers and pins
 // the calling thread to it; nested constructions (a run inside a run)
-// reuse the already-pinned pool. On OpenMP it resolves the width and, at
-// the outermost binding only, warms the team (libgomp spawns threads
-// lazily at the first parallel region, which would otherwise land inside
-// run_timed's clock — unlike the native lease, whose spawn cost is paid
-// here). `workers()` is the honest count stamped into run_result.
+// reuse the already-pinned pool. `workers()` is the honest count stamped
+// into run_result.
 class scoped_scheduler {
  public:
-  explicit scoped_scheduler(const context& ctx)
-      : outermost_(detail::tl_sched_depth++ == 0) {
-    switch (ctx.backend) {
-      case backend_kind::sequential:
-        workers_ = 1;
-        break;
-      case backend_kind::openmp: {
-        workers_ = num_workers(ctx);
-        if (outermost_ && !omp_in_parallel()) {
-          int nt = static_cast<int>(workers_);
-#pragma omp parallel num_threads(nt)
-          {
-          }
-        }
-        break;
-      }
-      case backend_kind::native:
-      default:
-        if (const detail::work_stealing_pool* pool = detail::this_thread_pool()) {
-          workers_ = pool->num_workers();
-        } else {
-          lease_ = detail::pool_lease(detail::resolve_native_workers(ctx.workers));
-          workers_ = lease_.width();
-        }
-        break;
+  explicit scoped_scheduler(const context& ctx) {
+    if (ctx.backend == backend_kind::sequential) return;
+    if (const detail::work_stealing_pool* pool = detail::this_thread_pool()) {
+      workers_ = pool->num_workers();
+    } else {
+      lease_ = detail::pool_lease(detail::resolve_native_workers(ctx.workers));
+      workers_ = lease_.width();
     }
   }
-  ~scoped_scheduler() { --detail::tl_sched_depth; }
 
   scoped_scheduler(const scoped_scheduler&) = delete;
   scoped_scheduler& operator=(const scoped_scheduler&) = delete;
@@ -103,7 +65,6 @@ class scoped_scheduler {
   unsigned workers() const { return workers_; }
 
  private:
-  bool outermost_;
   detail::pool_lease lease_;
   unsigned workers_ = 1;
 };
@@ -114,8 +75,7 @@ class scoped_scheduler {
 // pool instead of paying a lease cycle per top-level parallel region, AND
 // installs the context's cancel token for this thread (scoped_cancel) so
 // the phase loops' cancel_point() polls the right run's token — and only
-// it. Construction order matters: the scope registers with the race
-// detector before the lease pins the thread.
+// it.
 class run_scope {
  public:
   explicit run_scope(const context& c)
@@ -154,7 +114,7 @@ void par_do_native(const context& ctx, L&& left, R&& right) {
     right();
     return;
   }
-  fn_job<R> rjob(right);
+  fn_job<R> rjob(right, tl_context);
   pool->push(&rjob);
   left();
   if (pool->try_pop_specific(&rjob)) {
@@ -164,45 +124,18 @@ void par_do_native(const context& ctx, L&& left, R&& right) {
   }
 }
 
-template <typename L, typename R>
-void par_do_omp_inner(L&& left, R&& right) {
-#pragma omp task shared(left) default(shared)
-  left();
-  right();
-#pragma omp taskwait
-}
-
-template <typename L, typename R>
-void par_do_omp(const context& ctx, L&& left, R&& right) {
-  if (omp_in_parallel()) {
-    par_do_omp_inner(left, right);
-  } else {
-    int nt = static_cast<int>(num_workers(ctx));
-#pragma omp parallel default(shared) num_threads(nt)
-#pragma omp single nowait
-    par_do_omp_inner(left, right);
-  }
-}
-
 }  // namespace detail
 
 // Run `left` and `right`, potentially in parallel; returns when both are
 // done (a binary fork).
 template <typename L, typename R>
 void par_do(const context& ctx, L&& left, R&& right) {
-  switch (ctx.backend) {
-    case backend_kind::sequential:
-      left();
-      right();
-      break;
-    case backend_kind::openmp:
-      detail::par_do_omp(ctx, std::forward<L>(left), std::forward<R>(right));
-      break;
-    case backend_kind::native:
-    default:
-      detail::par_do_native(ctx, std::forward<L>(left), std::forward<R>(right));
-      break;
+  if (ctx.backend == backend_kind::sequential) {
+    left();
+    right();
+    return;
   }
+  detail::par_do_native(ctx, std::forward<L>(left), std::forward<R>(right));
 }
 
 template <typename L, typename R>
@@ -243,40 +176,12 @@ void parallel_for(const context& ctx, size_t lo, size_t hi, F f, size_t grain = 
   if (hi <= lo) return;
   size_t n = hi - lo;
   if (grain == 0) grain = ctx.grain;
-  switch (ctx.backend) {
-    case backend_kind::sequential: {
-      for (size_t i = lo; i < hi; ++i) f(i);
-      return;
-    }
-    case backend_kind::openmp: {
-      if (omp_in_parallel()) {
-        // Nested inside an OpenMP region (e.g. a parallel_for body that
-        // itself forks): recursive binary splitting over OpenMP tasks, the
-        // same shape as the native backend. The old behavior — silently
-        // serializing the nested loop — destroyed the span bounds of every
-        // algorithm with nested parallelism.
-        if (grain == 0) grain = detail::auto_grain(n, num_workers(ctx));
-        detail::parallel_for_rec(ctx, lo, hi, f, grain);
-      } else {
-        int nt = static_cast<int>(num_workers(ctx));
-        if (grain > 0) {
-          // honor an explicit grain (argument or ctx.grain) as the chunk size
-#pragma omp parallel for schedule(dynamic, static_cast<int>(grain)) num_threads(nt)
-          for (size_t i = lo; i < hi; ++i) f(i);
-        } else {
-#pragma omp parallel for schedule(guided) num_threads(nt)
-          for (size_t i = lo; i < hi; ++i) f(i);
-        }
-      }
-      return;
-    }
-    case backend_kind::native:
-    default: {
-      if (grain == 0) grain = detail::auto_grain(n, num_workers(ctx));
-      detail::parallel_for_rec(ctx, lo, hi, f, grain);
-      return;
-    }
+  if (ctx.backend == backend_kind::sequential) {
+    for (size_t i = lo; i < hi; ++i) f(i);
+    return;
   }
+  if (grain == 0) grain = detail::auto_grain(n, num_workers(ctx));
+  detail::parallel_for_rec(ctx, lo, hi, f, grain);
 }
 
 template <typename F>

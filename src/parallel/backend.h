@@ -3,8 +3,8 @@
 // The paper's computational model is the binary-forking model (Sec. 2): a
 // thread may fork two children and is suspended until both finish. The
 // native backend implements this directly with a work-stealing scheduler
-// (scheduler.h). The OpenMP backend maps forks onto OpenMP tasks, and the
-// sequential backend runs everything serially (useful for debugging and as
+// (scheduler.h); the sequential backend runs every fork serially (useful
+// for debugging, as the reference every parallel run must match, and as
 // the 1-thread baseline when measuring self-speedup).
 //
 // Which backend a computation uses is carried by pp::context
@@ -12,14 +12,12 @@
 // string names so it can be included anywhere without pulling in the
 // context machinery.
 //
-// Worker-count semantics per backend (see pp::num_workers in
-// parallel/api.h): `context::workers` is the width the run executes on.
-// 0 means "backend default" — PP_THREADS, else the hardware concurrency,
-// for the native backend (resolve_native_workers in parallel/scheduler.h);
-// omp_get_max_threads() for OpenMP. The sequential backend is always 1.
-// On the native backend each width gets its own work-stealing pool from a
-// process-wide pool cache, so the request is honored exactly rather than
-// clamped to a first-use singleton.
+// Worker-count semantics (see pp::num_workers in parallel/api.h):
+// `context::workers` is the width a native run executes on; 0 means
+// PP_THREADS, else the hardware concurrency (resolve_native_workers in
+// parallel/scheduler.h). Each width gets its own work-stealing pool from a
+// process-wide pool cache, so the request is honored exactly. The
+// sequential backend is always 1.
 #pragma once
 
 #include <optional>
@@ -29,24 +27,17 @@ namespace pp {
 
 enum class backend_kind {
   native,      // built-in work-stealing scheduler (default)
-  openmp,      // OpenMP tasks / parallel-for
   sequential,  // serial execution of every fork
 };
 
 inline std::string_view backend_name(backend_kind b) {
-  switch (b) {
-    case backend_kind::native: return "native";
-    case backend_kind::openmp: return "openmp";
-    case backend_kind::sequential: return "sequential";
-  }
-  return "unknown";
+  return b == backend_kind::sequential ? "sequential" : "native";
 }
 
-// Parse a backend name ("native", "openmp", "sequential"; "seq" accepted
-// as shorthand). Used by the CLI driver and env-var plumbing.
+// Parse a backend name ("native", "sequential"; "seq" accepted as
+// shorthand). Used by the CLI tools and env-var plumbing.
 inline std::optional<backend_kind> parse_backend(std::string_view s) {
   if (s == "native") return backend_kind::native;
-  if (s == "openmp" || s == "omp") return backend_kind::openmp;
   if (s == "sequential" || s == "seq") return backend_kind::sequential;
   return std::nullopt;
 }

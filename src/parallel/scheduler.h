@@ -32,9 +32,11 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/annotations.h"
+#include "core/context.h"
 
 namespace pp::detail {
 
@@ -51,18 +53,25 @@ struct job {
   ~job() = default;
 };
 
+// A fork's right child. `ctx` is the forking thread's current context
+// (null = the defaults); whichever thread executes the job runs it under
+// that context, so a stolen child sees exactly what its parent sees. The
+// parent blocks until the job is done, so the context outlives the job.
 template <typename F>
 struct fn_job final : job {
-  explicit fn_job(F& f) : f_(&f) {}
+  fn_job(F& f, const context* ctx) : f_(&f), ctx_(ctx) {}
   void execute() override {
     F* f = f_;
+    const context* saved = std::exchange(tl_context, ctx_);
     (*f)();
+    tl_context = saved;
     done.store(true, std::memory_order_release);
     // `this` may be dead now; do not touch members.
   }
 
  private:
   F* f_;
+  const context* ctx_;
 };
 
 class work_stealing_pool {
@@ -127,15 +136,15 @@ class work_stealing_pool {
 // nullptr for threads outside any native-backend computation.
 work_stealing_pool* this_thread_pool();
 
-// True only on a pool-spawned worker thread (slot > 0) — i.e. a thread
-// executing someone else's run. The lease holder (slot 0) is the run's own
-// thread and returns false.
-bool on_scheduler_worker_thread();
-
 // Width the native backend uses for `requested` workers: the request
 // itself, or — when the request is 0 — the PP_THREADS env var, else
 // std::thread::hardware_concurrency(). Always >= 1.
 unsigned resolve_native_workers(unsigned requested);
+
+// Upper bound on an explicit worker-count request accepted from a user
+// (CLI flags): far above any machine this runs on, far below a width
+// whose pool allocation would exhaust memory.
+inline constexpr unsigned kMaxNativeWorkers = 1024;
 
 // Registry of idle pools keyed by width, handed out exclusively: while a
 // lease holds a pool no other acquire() can return it. Pools are created

@@ -1,9 +1,12 @@
 // Tests for the execution-context API (core/context.h + the context
 // overloads of par_do/parallel_for in parallel/api.h): scoping semantics,
-// the deprecated backend shims, and the OpenMP nested-parallel_for fix.
+// nested parallel_for, and the inheritance rule — a fork runs under its
+// parent's context on whichever thread executes it, and concurrent runs
+// never see each other's context.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -28,12 +31,12 @@ TEST(Context, Defaults) {
 
 TEST(Context, WithBuilders) {
   context c;
-  context d = c.with_backend(backend_kind::openmp)
+  context d = c.with_backend(backend_kind::sequential)
                   .with_workers(3)
                   .with_seed(42)
                   .with_grain(128)
                   .with_pivot(pp::pivot_policy::uniform_random);
-  EXPECT_EQ(d.backend, backend_kind::openmp);
+  EXPECT_EQ(d.backend, backend_kind::sequential);
   EXPECT_EQ(d.workers, 3u);
   EXPECT_EQ(d.seed, 42u);
   EXPECT_EQ(d.grain, 128u);
@@ -63,24 +66,6 @@ TEST(Context, ScopedContextActivatesAndRestores) {
   EXPECT_EQ(pp::current_context().seed, 1u);
 }
 
-TEST(Context, DeprecatedShimsReflectDefaultContext) {
-  EXPECT_EQ(pp::get_backend(), pp::default_context().backend);
-  pp::set_backend(backend_kind::sequential);
-  EXPECT_EQ(pp::get_backend(), backend_kind::sequential);
-  EXPECT_EQ(pp::default_context().backend, backend_kind::sequential);
-  pp::set_backend(backend_kind::native);
-  EXPECT_EQ(pp::get_backend(), backend_kind::native);
-
-  {
-    pp::scoped_backend sb(backend_kind::openmp);
-    EXPECT_EQ(pp::get_backend(), backend_kind::openmp);
-    EXPECT_EQ(pp::current_context().backend, backend_kind::openmp);
-    // the default is untouched; only the current scope changed
-    EXPECT_EQ(pp::default_context().backend, backend_kind::native);
-  }
-  EXPECT_EQ(pp::get_backend(), backend_kind::native);
-}
-
 class ContextBackends : public ::testing::TestWithParam<backend_kind> {};
 
 TEST_P(ContextBackends, ParallelForExplicitContext) {
@@ -101,8 +86,8 @@ TEST_P(ContextBackends, ParDoExplicitContext) {
 }
 
 TEST_P(ContextBackends, NestedParallelForIsCorrect) {
-  // Nested parallelism: outer rows x inner cols. Under OpenMP the inner
-  // loops used to silently serialize; now they run as tasks. All backends
+  // Nested parallelism: outer rows x inner cols, the inner loops in the
+  // implicit form (they inherit the outer loop's context). All backends
   // must produce the identical matrix.
   context ctx = context{}.with_backend(GetParam());
   constexpr size_t rows = 64, cols = 2'000;
@@ -123,7 +108,7 @@ TEST_P(ContextBackends, NestedParallelForIsCorrect) {
 TEST_P(ContextBackends, ScopedContextThreadsBackendIntoImplicitCalls) {
   context ctx = context{}.with_backend(GetParam());
   pp::scoped_context scope(ctx);
-  EXPECT_EQ(pp::get_backend(), GetParam());
+  EXPECT_EQ(pp::current_context().backend, GetParam());
   constexpr size_t n = 10'000;
   std::vector<int> out(n, 0);
   pp::parallel_for(0, n, [&](size_t i) { out[i] = static_cast<int>(i % 17); });
@@ -148,7 +133,6 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, ContextBackends,
 
 TEST(Context, NumWorkers) {
   EXPECT_EQ(pp::num_workers(context{}.with_backend(backend_kind::sequential)), 1u);
-  EXPECT_EQ(pp::num_workers(context{}.with_backend(backend_kind::openmp).with_workers(3)), 3u);
   EXPECT_GE(pp::num_workers(context{}.with_backend(backend_kind::native)), 1u);
   // context::workers is honored exactly on the native backend — each width
   // gets its own pool from the cache, so no singleton clamps the request.
@@ -159,52 +143,63 @@ TEST(Context, NumWorkers) {
       hw + 3);
 }
 
-TEST(Context, EqualityComparesEveryKnob) {
-  context a;
-  EXPECT_EQ(a, context{});
-  EXPECT_FALSE(a == a.with_workers(2));
-  EXPECT_FALSE(a == a.with_seed(7));
-  EXPECT_FALSE(a == a.with_backend(backend_kind::openmp));
-  EXPECT_FALSE(a == a.with_grain(64));
-  EXPECT_FALSE(a == a.with_pivot(pp::pivot_policy::uniform_random));
-}
-
-TEST(Context, ScopeRaceDetectorFlagsConflictingTopLevelScopes) {
-  // Two live top-level scoped_contexts with different configs is exactly
-  // the cross-contamination race the detector exists for. This test only
-  // checks the counter (the assert fires in debug builds); NDEBUG test
-  // runs still observe the flagged conflict.
-  uint64_t before = pp::detail::scope_conflicts();
-  pp::detail::scopes().assert_on_conflict.store(false);  // deliberate race below
-  std::atomic<int> phase{0};
-  std::thread other([&] {
-    pp::scoped_context scope(context{}.with_seed(111));
-    phase.store(1);
-    while (phase.load() < 2) std::this_thread::yield();
-  });
-  while (phase.load() < 1) std::this_thread::yield();
-  { pp::scoped_context racer(context{}.with_seed(222)); }
-  phase.store(2);
-  other.join();
-  pp::detail::scopes().assert_on_conflict.store(true);
-  EXPECT_GT(pp::detail::scope_conflicts(), before);
-
-  // Nested scopes on one thread are NOT top-level races: no new conflict.
-  uint64_t nested_before = pp::detail::scope_conflicts();
-  {
-    pp::scoped_context outer(context{}.with_seed(1));
-    pp::scoped_context inner(context{}.with_seed(2));
-  }
-  EXPECT_EQ(pp::detail::scope_conflicts(), nested_before);
+TEST(Context, ConcurrentRunsSeeTheirOwnContextAcrossForks) {
+  // Two threads hold concurrent run scopes with different seeds and, inside
+  // them, nested per-item scopes — the shape registry::run_batch and the
+  // serving engine's executors use. Every current_context() read, on the
+  // run's own thread and in par_do children a thief runs on the run's
+  // 2-wide pool, must return that thread's own item seed.
+  constexpr uint64_t kItems = 300;
+  std::atomic<uint64_t> reads{0}, mismatches{0}, stolen{0};
+  std::atomic<int> started{0};
+  auto run = [&](uint64_t base) {
+    pp::run_scope scope(context{}.with_workers(2).with_seed(base));
+    started.fetch_add(1);
+    while (started.load() < 2) std::this_thread::yield();  // overlap the runs
+    const std::thread::id self = std::this_thread::get_id();
+    for (uint64_t i = 0; i < kItems; ++i) {
+      const uint64_t want = pp::derive_seed(base, i);
+      pp::scoped_context item(pp::current_context().with_seed(want));
+      auto check = [&] {
+        reads.fetch_add(1, std::memory_order_relaxed);
+        if (pp::current_context().seed != want) mismatches.fetch_add(1);
+      };
+      std::atomic<bool> right_started{false};
+      pp::par_do(
+          [&] {
+            check();
+            // Hold the left child until the pool's other worker steals the
+            // right one (bounded, so a busy machine only loses coverage).
+            auto until = std::chrono::steady_clock::now() + std::chrono::milliseconds(20);
+            while (!right_started.load() && std::chrono::steady_clock::now() < until)
+              std::this_thread::yield();
+            check();
+          },
+          [&] {
+            right_started.store(true);
+            if (std::this_thread::get_id() != self) stolen.fetch_add(1);
+            check();
+            pp::parallel_for(0, 32, [&](size_t) { check(); }, /*grain=*/1);
+          });
+      check();
+    }
+    EXPECT_EQ(pp::current_context().seed, base);
+  };
+  std::thread a(run, 111), b(run, 222);
+  a.join();
+  b.join();
+  EXPECT_EQ(mismatches.load(), 0u) << "of " << reads.load() << " reads";
+  EXPECT_GT(stolen.load(), 0u) << "no right child was ever stolen; the test lost its point";
+  // Outside every scope, the defaults again.
+  EXPECT_EQ(pp::current_context().seed, pp::default_context().seed);
 }
 
 TEST(Context, ParseBackend) {
   EXPECT_EQ(pp::parse_backend("native"), backend_kind::native);
-  EXPECT_EQ(pp::parse_backend("openmp"), backend_kind::openmp);
-  EXPECT_EQ(pp::parse_backend("omp"), backend_kind::openmp);
   EXPECT_EQ(pp::parse_backend("sequential"), backend_kind::sequential);
   EXPECT_EQ(pp::parse_backend("seq"), backend_kind::sequential);
   EXPECT_FALSE(pp::parse_backend("tbb").has_value());
+  EXPECT_FALSE(pp::parse_backend("openmp").has_value());
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Cross-backend determinism, driven through the registry: the same seed
 // and the same input must produce identical results AND identical round
-// counts (phase_stats.rounds) on the sequential, OpenMP, and native
-// backends. This is the reproducibility contract of the library's
-// stateless (seed, index)-hashed randomness: no random choice may depend
-// on scheduling.
+// counts (phase_stats.rounds) on the sequential and native backends. This
+// is the reproducibility contract of the library's stateless
+// (seed, index)-hashed randomness: no random choice may depend on
+// scheduling.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -18,8 +18,6 @@ namespace {
 using pp::backend_kind;
 using pp::registry;
 
-// sequential, openmp, native — minus openmp under PP_TEST_SKIP_OPENMP
-// (the CI TSan job; see test_backends.h).
 const std::vector<backend_kind> kBackends = pp_test::backends_under_test();
 
 pp::context ctx_for(backend_kind b, uint64_t seed) {
@@ -72,10 +70,13 @@ TEST(Determinism, SsspAcrossBackends) {
 }
 
 TEST(Determinism, ResultsIndependentOfWorkerCount) {
-  // ISSUE 2 satellite: on one backend, sweeping workers in {1, 2, hw} must
-  // not change results OR round counts — width is a performance variable,
-  // never a semantic one. (Per-width pools make this real on the native
-  // backend: a workers=W run executes on exactly W deques.)
+  // On one backend, sweeping workers in {1, 2, hw} must not change
+  // results, round counts OR processed counts — width is a performance
+  // variable, never a semantic one. (Per-width pools make this real on the
+  // native backend: a workers=W run executes on exactly W deques.) The
+  // frontier-based SSSP solvers are here because a frontier vertex can be
+  // lowered by a neighbor within one relax substep; `processed` must not
+  // depend on which of the two happened first.
   unsigned hw = std::thread::hardware_concurrency();
   if (hw == 0) hw = 2;
   const unsigned widths[] = {1u, 2u, hw};
@@ -90,6 +91,8 @@ TEST(Determinism, ResultsIndependentOfWorkerCount) {
       {"lis", "lis/parallel", 4'000, 17},
       {"graph", "mis/rounds", 2'000, 23},
       {"sssp", "sssp/phase_parallel", 2'000, 29},
+      {"sssp", "sssp/bellman_ford", 2'000, 31},
+      {"sssp", "sssp/delta_stepping", 2'000, 37},
   };
 
   std::vector<backend_kind> parallel_backends;
@@ -107,6 +110,8 @@ TEST(Determinism, ResultsIndependentOfWorkerCount) {
         EXPECT_EQ(pp::score_of(res.value), pp::score_of(ref.value))
             << c.solver << "/" << pp::backend_name(b) << " workers=" << w;
         EXPECT_EQ(res.stats.rounds, ref.stats.rounds)
+            << c.solver << "/" << pp::backend_name(b) << " workers=" << w;
+        EXPECT_EQ(res.stats.processed, ref.stats.processed)
             << c.solver << "/" << pp::backend_name(b) << " workers=" << w;
       }
     }

@@ -1,6 +1,6 @@
 // Cross-module integration tests:
 //   * every parallel algorithm must return bit-identical results across
-//     the three backends (native work-stealing, OpenMP, sequential) — the
+//     both backends (native work-stealing, sequential) — the
 //     determinism guarantee of DESIGN.md §4.5;
 //   * the dominance engine is exercised directly with degenerate qx/yrank
 //     shapes that no single front-end produces.
@@ -26,12 +26,11 @@
 namespace {
 
 using pp::backend_kind;
-const backend_kind kBackends[] = {backend_kind::native, backend_kind::openmp,
-                                  backend_kind::sequential};
+const backend_kind kBackends[] = {backend_kind::native, backend_kind::sequential};
 
 template <typename F>
 auto run_on(backend_kind b, F f) {
-  pp::scoped_backend sb(b);
+  pp::scoped_context scope(pp::current_context().with_backend(b));
   return f();
 }
 

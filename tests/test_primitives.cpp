@@ -14,8 +14,8 @@ using pp::backend_kind;
 
 class PrimTest : public ::testing::TestWithParam<std::tuple<backend_kind, size_t>> {
  protected:
-  void SetUp() override { pp::set_backend(std::get<0>(GetParam())); }
-  void TearDown() override { pp::set_backend(backend_kind::native); }
+  void SetUp() override { pp::default_context().backend = std::get<0>(GetParam()); }
+  void TearDown() override { pp::default_context().backend = backend_kind::native; }
   size_t n() const { return std::get<1>(GetParam()); }
 
   std::vector<int64_t> random_values(uint64_t seed) const {
@@ -116,8 +116,7 @@ TEST_P(PrimTest, MinIndexFirstOnTies) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, PrimTest,
-    ::testing::Combine(::testing::Values(backend_kind::native, backend_kind::openmp,
-                                         backend_kind::sequential),
+    ::testing::Combine(::testing::Values(backend_kind::native, backend_kind::sequential),
                        ::testing::Values(size_t{0}, size_t{1}, size_t{2}, size_t{100},
                                          size_t{4097}, size_t{100000})),
     [](const auto& info) {

@@ -1,5 +1,5 @@
 // Tests for the work-stealing scheduler and the par_do/parallel_for API,
-// across all three backends, plus the per-context pool cache: leases pin a
+// across both backends, plus the per-context pool cache: leases pin a
 // run to a pool of exactly ctx.workers deques, workers=1 runs are strictly
 // sequential, and concurrent runs never share a pool.
 #include <gtest/gtest.h>
@@ -21,8 +21,8 @@ using pp::backend_kind;
 
 class BackendTest : public ::testing::TestWithParam<backend_kind> {
  protected:
-  void SetUp() override { pp::set_backend(GetParam()); }
-  void TearDown() override { pp::set_backend(backend_kind::native); }
+  void SetUp() override { pp::default_context().backend = GetParam(); }
+  void TearDown() override { pp::default_context().backend = backend_kind::native; }
 };
 
 TEST_P(BackendTest, ParDoRunsBothSides) {
@@ -248,8 +248,7 @@ TEST(Scheduler, BatchHoldsOneLeaseLoopPaysPerRun) {
 TEST(Scheduler, BatchNestsInsideEnclosingRun) {
   // run_batch from inside an already-scheduled run (a server request
   // handler that batches sub-tasks): the batch scope must reuse the pinned
-  // pool — no second lease — and must not register as a racing top-level
-  // scope with a conflicting config.
+  // pool — no second lease.
   auto& reg = pp::registry::instance();
   auto& cache = pp::detail::pool_cache::instance();
   std::vector<pp::problem_input> inputs;
@@ -258,12 +257,10 @@ TEST(Scheduler, BatchNestsInsideEnclosingRun) {
   pp::context outer = pp::context{}.with_backend(pp::backend_kind::native).with_workers(2);
   pp::run_scope enclosing(outer);
   uint64_t before = cache.acquires();
-  uint64_t conflicts_before = pp::detail::scope_conflicts();
   // The nested batch even asks for a different width; it stays pinned.
   auto batch = pp::registry::run_batch("lis/parallel", inputs, outer.with_workers(4));
   EXPECT_EQ(cache.acquires() - before, 0u);
   EXPECT_EQ(batch.workers, 2u);  // honest: the pinned width, not the request
-  EXPECT_EQ(pp::detail::scope_conflicts(), conflicts_before);
   EXPECT_EQ(batch.count(), 3u);
 }
 
@@ -320,7 +317,7 @@ TEST(Scheduler, PoolCacheSizeCountsLeasedPools) {
 TEST(Scheduler, UnbalancedForkJoin) {
   // Left side finishes immediately; right side is heavy. The parent must
   // wait for the stolen child correctly.
-  pp::set_backend(backend_kind::native);
+  pp::default_context().backend = backend_kind::native;
   std::atomic<long> sum{0};
   pp::par_do([&] { sum += 1; },
              [&] {

@@ -1030,24 +1030,41 @@ TEST(Serve, LruEvictionHonorsCacheBound) {
   EXPECT_EQ(st.batches, 4u);
 }
 
-TEST(Serve, NoScopeRaceConflicts) {
-  // Concurrent executors share one execution profile, so the context
-  // scope-race detector must stay quiet under parallel serving load.
-  uint64_t conflicts_before = pp::detail::scope_conflicts();
+TEST(Serve, ConcurrentExecutorsRunUnderTheirOwnSeeds) {
+  // Three executors run sssp/relaxed concurrently, each request under its
+  // own seed. The relaxed solver reads seed and relax_k from the run's
+  // current context, and at one worker per run its MultiQueue schedule is
+  // a pure function of the seed — so every result's popped/wasted counts
+  // must equal a standalone registry::run with the same seed. A context
+  // leaking between concurrent runs shows up as a count mismatch. Many
+  // small requests: the more scope installs overlap, the more chances a
+  // leak has to show.
   engine_options opt;
   opt.max_inflight_runs = 3;
   opt.workers_per_run = 1;
   opt.batch_window = std::chrono::microseconds{0};
   opt.max_batch = 1;
+  opt.cache_entries = 0;  // every request executes
   opt.ctx = native2().with_workers(1).with_seed(11);
   engine eng(opt);
 
-  auto in = registry::instance().make_input("lis", 1'000, 5);
+  auto in = registry::instance().make_input("sssp", 200, 5);
+  constexpr uint64_t kRequests = 1500;
   std::vector<std::future<response>> futs;
-  for (size_t i = 0; i < 24; ++i) futs.push_back(eng.submit({"lis/parallel", in, i}));
-  for (auto& f : futs) EXPECT_TRUE(f.get().ok());
+  for (uint64_t i = 0; i < kRequests; ++i)
+    futs.push_back(eng.submit({"sssp/relaxed", in, 1'000 + i}));
+  std::vector<response> got;
+  for (auto& f : futs) got.push_back(f.get());
+  auto st = eng.stats();
   eng.stop();
-  EXPECT_EQ(pp::detail::scope_conflicts(), conflicts_before);
+  EXPECT_GE(st.peak_inflight, 2u) << "executors never overlapped; the test lost its point";
+
+  for (uint64_t i = 0; i < kRequests; ++i) {
+    ASSERT_TRUE(got[i].ok()) << got[i].error;
+    auto solo = registry::run("sssp/relaxed", in, eng.execution_context().with_seed(1'000 + i));
+    EXPECT_EQ(got[i].result.stats.popped, solo.stats.popped) << "seed " << 1'000 + i;
+    EXPECT_EQ(got[i].result.stats.wasted, solo.stats.wasted) << "seed " << 1'000 + i;
+  }
 }
 
 }  // namespace

@@ -13,8 +13,8 @@ using pp::backend_kind;
 
 class SortTest : public ::testing::TestWithParam<std::tuple<backend_kind, size_t>> {
  protected:
-  void SetUp() override { pp::set_backend(std::get<0>(GetParam())); }
-  void TearDown() override { pp::set_backend(backend_kind::native); }
+  void SetUp() override { pp::default_context().backend = std::get<0>(GetParam()); }
+  void TearDown() override { pp::default_context().backend = backend_kind::native; }
   size_t n() const { return std::get<1>(GetParam()); }
 };
 
@@ -83,8 +83,7 @@ TEST_P(SortTest, SortIndicesMatchesDirectSort) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, SortTest,
-    ::testing::Combine(::testing::Values(backend_kind::native, backend_kind::openmp,
-                                         backend_kind::sequential),
+    ::testing::Combine(::testing::Values(backend_kind::native, backend_kind::sequential),
                        ::testing::Values(size_t{0}, size_t{1}, size_t{10}, size_t{8192},
                                          size_t{100000})),
     [](const auto& info) {

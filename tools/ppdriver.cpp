@@ -13,8 +13,8 @@
 //   --seed S           base seed (default 1): input i is built from
 //                      derive_seed(S, i) for batch, S for run; execution
 //                      seeds follow the same rule
-//   --backend B        native | openmp | sequential   (default: process default)
-//   --workers W        worker count (0 = backend default)
+//   --backend B        native | sequential   (default: process default)
+//   --workers W        worker count (0 = backend default; at most 1024)
 //   --grain G          parallel_for grain (0 = auto)
 //   --pivot P          rightmost | random   (Type-2 pivot policy)
 //   --relax-k K        k-MultiQueue relaxation factor (relaxed solvers only)
@@ -35,19 +35,25 @@
 //                      identical either way)
 //
 // Examples:
-//   ppdriver run lis/parallel --n 1000000 --backend openmp --workers 8
+//   ppdriver run lis/parallel --n 1000000 --backend native --workers 8
 //   ppdriver batch lis/parallel --count 8 --n 20000 --json
+//
+// Every numeric value is validated (tools/cli_args.h): junk, negative or
+// out-of-range values, and unknown backends exit 2 with a usage error.
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "cli_args.h"
 #include "core/json.h"
 #include "core/registry.h"
 #include "core/trace.h"
+#include "parallel/scheduler.h"
 
 namespace {
 
@@ -60,7 +66,9 @@ int usage(const char* argv0) {
                "       %s batch <solver> [--count K] [--n N] [--seed S] [--backend B]\n"
                "                         [--workers W] [--grain G] [--pivot rightmost|random]\n"
                "                         [--relax-k K] [--order as_given|shuffled] [--json]\n"
-               "       %s golden         [--n N] [--seed S]\n",
+               "       %s golden         [--n N] [--seed S]\n"
+               "backends: native | sequential; --workers 0 = PP_THREADS or hardware "
+               "threads\n",
                argv0, argv0, argv0, argv0);
   return 2;
 }
@@ -118,6 +126,14 @@ int cmd_problems() {
   return 0;
 }
 
+// Upper bound for --repeats / --count: each item keeps its envelope.
+constexpr long long kMaxCount = 1'000'000;
+
+size_t parse_n(const char* argv0, const char* text) {
+  return static_cast<size_t>(
+      pp_cli::parse_int(argv0, "--n", text, 1, std::numeric_limits<long long>::max()));
+}
+
 // Options shared by `run` and `batch`.
 struct cli_options {
   size_t n = 100'000;
@@ -141,9 +157,9 @@ int parse_options(int argc, char** argv, bool batch_mode, cli_options& opt) {
       return argv[++i];
     };
     if (std::strcmp(argv[i], "--n") == 0) {
-      opt.n = static_cast<size_t>(std::strtoull(need("--n"), nullptr, 10));
+      opt.n = parse_n(argv[0], need("--n"));
     } else if (std::strcmp(argv[i], "--seed") == 0) {
-      opt.ctx.seed = std::strtoull(need("--seed"), nullptr, 10);
+      opt.ctx.seed = pp_cli::parse_u64(argv[0], "--seed", need("--seed"));
     } else if (std::strcmp(argv[i], "--backend") == 0) {
       const char* b = need("--backend");
       auto kind = pp::parse_backend(b);
@@ -153,9 +169,11 @@ int parse_options(int argc, char** argv, bool batch_mode, cli_options& opt) {
       }
       opt.ctx.backend = *kind;
     } else if (std::strcmp(argv[i], "--workers") == 0) {
-      opt.ctx.workers = static_cast<unsigned>(std::strtoul(need("--workers"), nullptr, 10));
+      opt.ctx.workers = static_cast<unsigned>(pp_cli::parse_int(
+          argv[0], "--workers", need("--workers"), 0, pp::detail::kMaxNativeWorkers));
     } else if (std::strcmp(argv[i], "--grain") == 0) {
-      opt.ctx.grain = static_cast<size_t>(std::strtoull(need("--grain"), nullptr, 10));
+      opt.ctx.grain = static_cast<size_t>(pp_cli::parse_int(
+          argv[0], "--grain", need("--grain"), 0, std::numeric_limits<long long>::max()));
     } else if (std::strcmp(argv[i], "--pivot") == 0) {
       const char* p = need("--pivot");
       if (std::strcmp(p, "rightmost") == 0) {
@@ -167,17 +185,13 @@ int parse_options(int argc, char** argv, bool batch_mode, cli_options& opt) {
         return 2;
       }
     } else if (std::strcmp(argv[i], "--relax-k") == 0) {
-      long k = std::strtol(need("--relax-k"), nullptr, 10);
-      if (k < 1) {
-        std::fprintf(stderr, "%s: --relax-k must be >= 1\n", argv[0]);
-        return 2;
-      }
-      opt.ctx.relax_k = static_cast<unsigned>(k);
+      opt.ctx.relax_k = static_cast<unsigned>(pp_cli::parse_int(
+          argv[0], "--relax-k", need("--relax-k"), 1, std::numeric_limits<unsigned>::max()));
     } else if (std::strcmp(argv[i], "--json") == 0) {
       opt.json = true;
     } else if (!batch_mode && std::strcmp(argv[i], "--repeats") == 0) {
-      opt.repeats = std::atoi(need("--repeats"));
-      if (opt.repeats < 1) opt.repeats = 1;
+      opt.repeats = static_cast<int>(
+          pp_cli::parse_int(argv[0], "--repeats", need("--repeats"), 1, kMaxCount));
     } else if (!batch_mode && std::strcmp(argv[i], "--trace") == 0) {
       opt.trace_path = need("--trace");
       if (opt.trace_path.empty()) {
@@ -185,8 +199,8 @@ int parse_options(int argc, char** argv, bool batch_mode, cli_options& opt) {
         return 2;
       }
     } else if (batch_mode && std::strcmp(argv[i], "--count") == 0) {
-      opt.count = static_cast<size_t>(std::strtoull(need("--count"), nullptr, 10));
-      if (opt.count < 1) opt.count = 1;
+      opt.count = static_cast<size_t>(
+          pp_cli::parse_int(argv[0], "--count", need("--count"), 1, kMaxCount));
     } else if (batch_mode && std::strcmp(argv[i], "--order") == 0) {
       const char* o = need("--order");
       if (std::strcmp(o, "as_given") == 0) {
@@ -223,8 +237,8 @@ void print_envelope_text(const pp::run_result<pp::solver_value>& r, const std::s
   std::printf("solver   = %s\n", r.solver.c_str());
   std::printf("problem  = %s (n = %zu, seed = %llu)\n", problem.c_str(), n,
               static_cast<unsigned long long>(ctx.seed));
-  // r.workers is the width the run *actually* executed on (pool lease /
-  // omp num_threads), not a pre-run guess from the context.
+  // r.workers is the width the run *actually* executed on (the pool
+  // lease), not a pre-run guess from the context.
   std::printf("backend  = %s (workers = %u, grain = %zu, pivot = %s)\n",
               std::string(pp::backend_name(r.backend)).c_str(), r.workers, ctx.grain,
               pp::pivot_policy_name(ctx.pivot));
@@ -365,9 +379,9 @@ int cmd_golden(int argc, char** argv) {
       return argv[++i];
     };
     if (std::strcmp(argv[i], "--n") == 0) {
-      n = static_cast<size_t>(std::strtoull(need("--n"), nullptr, 10));
+      n = parse_n(argv[0], need("--n"));
     } else if (std::strcmp(argv[i], "--seed") == 0) {
-      seed = std::strtoull(need("--seed"), nullptr, 10);
+      seed = pp_cli::parse_u64(argv[0], "--seed", need("--seed"));
     } else {
       std::fprintf(stderr, "%s: unknown option '%s'\n", argv[0], argv[i]);
       return 2;

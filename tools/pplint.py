@@ -6,9 +6,8 @@ codebase depends on for correctness and reproducibility:
 
   cancel-in-parallel   cancel_point() must never appear lexically inside a
                        parallel_for(...) / par_do(...) argument list: a throw
-                       on a pool worker escapes its job and terminates, a
-                       throw between fork and join dangles references, and
-                       the implicit form reads the process-wide context slot
+                       on a pool worker escapes its job and terminates, and
+                       a throw between fork and join dangles references
                        (see src/core/cancel.h).
   banned-clock-rand    src/ and tools/ must not use std::rand, srand, or
                        std::chrono::system_clock. Randomness flows through

@@ -114,11 +114,13 @@
 #include <thread>
 #include <vector>
 
+#include "cli_args.h"
 #include "core/annotations.h"
 #include "core/json.h"
 #include "core/metrics.h"
 #include "core/registry.h"
 #include "core/trace.h"
+#include "parallel/scheduler.h"
 #include "serve/engine.h"
 #include "serve/session.h"
 
@@ -197,47 +199,12 @@ void render(const pp::json::value& v, pp::json::writer& w) {
   }
 }
 
-// Parse a decimal integer in [min_v, max_v]; usage error (exit 2) on junk,
-// overflow, or out-of-range values. The engine knobs are size_t/unsigned —
-// a negative value passed through a blind `atoll` → unsigned cast wraps to
-// an astronomically large count (an effectively unbounded queue defeats
-// backpressure entirely), so bad values are rejected up front instead of
-// silently wrapping.
-long long parse_int(const char* argv0, const char* flag, const char* text, long long min_v,
-                    long long max_v) {
-  errno = 0;
-  char* end = nullptr;
-  long long v = std::strtoll(text, &end, 10);
-  if (end == text || *end != '\0' || errno == ERANGE || v < min_v || v > max_v) {
-    std::fprintf(stderr, "%s: %s expects an integer in [%lld, %lld], got '%s'\n", argv0, flag,
-                 min_v, max_v, text);
-    std::exit(2);
-  }
-  return v;
-}
-
-// Full-range uint64 parse with the same junk rejection (for --seed).
-uint64_t parse_u64(const char* argv0, const char* flag, const char* text) {
-  errno = 0;
-  char* end = nullptr;
-  if (*text == '-') {
-    std::fprintf(stderr, "%s: %s expects a non-negative integer, got '%s'\n", argv0, flag, text);
-    std::exit(2);
-  }
-  unsigned long long v = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0' || errno == ERANGE) {
-    std::fprintf(stderr, "%s: %s expects a non-negative integer, got '%s'\n", argv0, flag, text);
-    std::exit(2);
-  }
-  return static_cast<uint64_t>(v);
-}
-
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--port P] [--metrics-port P] [--trace-dir DIR]\n"
                "          [--max-inflight R] [--workers-per-run W]\n"
                "          [--batch-window-us U] [--max-batch K] [--queue N]\n"
-               "          [--backend native|openmp|sequential] [--seed S] [--max-n N]\n"
+               "          [--backend native|sequential] [--seed S] [--max-n N]\n"
                "          [--relax-k K] [--cache-entries N] [--cache-off]\n"
                "          [--max-sessions N]\n"
                "reads newline-delimited JSON requests on stdin (and TCP port P),\n"
@@ -886,10 +853,10 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (std::strcmp(argv[i], "--port") == 0) {
-      opt.port = static_cast<int>(parse_int(argv[0], "--port", need("--port"), 1, 65535));
+      opt.port = static_cast<int>(pp_cli::parse_int(argv[0], "--port", need("--port"), 1, 65535));
     } else if (std::strcmp(argv[i], "--metrics-port") == 0) {
       opt.metrics_port = static_cast<int>(
-          parse_int(argv[0], "--metrics-port", need("--metrics-port"), 1, 65535));
+          pp_cli::parse_int(argv[0], "--metrics-port", need("--metrics-port"), 1, 65535));
     } else if (std::strcmp(argv[i], "--trace-dir") == 0) {
       opt.trace_dir = need("--trace-dir");
       if (opt.trace_dir.empty()) {
@@ -899,7 +866,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--max-inflight") == 0) {
       // 0 is clamped to one executor HERE, visibly, instead of relying on
       // the engine constructor's silent fixup.
-      long long v = parse_int(argv[0], "--max-inflight", need("--max-inflight"), 0,
+      long long v = pp_cli::parse_int(argv[0], "--max-inflight", need("--max-inflight"), 0,
                               std::numeric_limits<unsigned>::max());
       if (v == 0) {
         std::fprintf(stderr, "%s: --max-inflight 0 clamped to 1 (at least one executor)\n",
@@ -910,40 +877,40 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--workers-per-run") == 0) {
       // 0 keeps the engine's "partition the machine evenly" default.
       opt.eng.workers_per_run = static_cast<unsigned>(
-          parse_int(argv[0], "--workers-per-run", need("--workers-per-run"), 0,
-                    std::numeric_limits<unsigned>::max()));
+          pp_cli::parse_int(argv[0], "--workers-per-run", need("--workers-per-run"), 0,
+                            pp::detail::kMaxNativeWorkers));
     } else if (std::strcmp(argv[i], "--batch-window-us") == 0) {
       // 0 = flush immediately (valid); negative windows are nonsense.
-      opt.eng.batch_window = std::chrono::microseconds(parse_int(
+      opt.eng.batch_window = std::chrono::microseconds(pp_cli::parse_int(
           argv[0], "--batch-window-us", need("--batch-window-us"), 0, 60'000'000));
     } else if (std::strcmp(argv[i], "--max-batch") == 0) {
       opt.eng.max_batch = static_cast<size_t>(
-          parse_int(argv[0], "--max-batch", need("--max-batch"), 1, 1'000'000));
+          pp_cli::parse_int(argv[0], "--max-batch", need("--max-batch"), 1, 1'000'000));
     } else if (std::strcmp(argv[i], "--queue") == 0) {
       opt.eng.queue_capacity = static_cast<size_t>(
-          parse_int(argv[0], "--queue", need("--queue"), 1, 100'000'000));
+          pp_cli::parse_int(argv[0], "--queue", need("--queue"), 1, 100'000'000));
     } else if (std::strcmp(argv[i], "--cache-entries") == 0) {
       // Minimum 1: "0 entries" is spelled --cache-off, so a negative or
       // zero count here is a mistake, not a disable request.
       opt.eng.cache_entries = static_cast<size_t>(
-          parse_int(argv[0], "--cache-entries", need("--cache-entries"), 1, 100'000'000));
+          pp_cli::parse_int(argv[0], "--cache-entries", need("--cache-entries"), 1, 100'000'000));
     } else if (std::strcmp(argv[i], "--cache-off") == 0) {
       opt.eng.cache_entries = 0;  // dedup of in-flight duplicates stays on
     } else if (std::strcmp(argv[i], "--max-sessions") == 0) {
       // Minimum 1: a session-less daemon is the default behavior already,
       // and 0 would mean "every create immediately evicts itself".
       opt.max_sessions = static_cast<size_t>(
-          parse_int(argv[0], "--max-sessions", need("--max-sessions"), 1, 1'000'000));
+          pp_cli::parse_int(argv[0], "--max-sessions", need("--max-sessions"), 1, 1'000'000));
     } else if (std::strcmp(argv[i], "--max-n") == 0) {
-      opt.max_n = static_cast<size_t>(parse_int(argv[0], "--max-n", need("--max-n"), 1,
+      opt.max_n = static_cast<size_t>(pp_cli::parse_int(argv[0], "--max-n", need("--max-n"), 1,
                                                 std::numeric_limits<long long>::max()));
     } else if (std::strcmp(argv[i], "--seed") == 0) {
-      opt.eng.ctx.seed = parse_u64(argv[0], "--seed", need("--seed"));
+      opt.eng.ctx.seed = pp_cli::parse_u64(argv[0], "--seed", need("--seed"));
     } else if (std::strcmp(argv[i], "--relax-k") == 0) {
       // k-MultiQueue relaxation factor for relaxed-paradigm solvers; phase
       // and sequential solvers ignore it. Zero shards is nonsense -> min 1.
       opt.eng.ctx.relax_k = static_cast<unsigned>(
-          parse_int(argv[0], "--relax-k", need("--relax-k"), 1,
+          pp_cli::parse_int(argv[0], "--relax-k", need("--relax-k"), 1,
                     std::numeric_limits<unsigned>::max()));
     } else if (std::strcmp(argv[i], "--backend") == 0) {
       const char* b = need("--backend");
