@@ -11,23 +11,21 @@
 //   snapshot_input s = tab.snapshot("road");  // immutable view of version v+1
 //   eng.submit({.solver="sssp/incremental", .input=s, .session="road"});
 //
-// Versioning model (the PAM shape, cf. src/pabst/augmented_map.h's header
-// note — that tree rebuilds in place, so the session store keeps its own
-// persistent structure):
+// Versioning model:
 //
 //  * Every version is an immutable `version_state` held by shared_ptr —
 //    the reader refcount. snapshot() pins the current head; a solve in
 //    flight keeps reading version v while the writer installs v+1, and the
 //    last reader dropping its pin frees the version.
-//  * The edge set lives in a path-copying persistent treap (deterministic
-//    hash priorities): applying a delta copies O(log m) nodes and shares
-//    the rest with the parent version, so membership/dedup is O(log m) per
-//    edge op and versions share structure. The solver-facing CSR is
-//    materialized per version by ONE linear merge pass: the parent's CSR
-//    (already sorted by (u, v), deduplicated) interleaved with the
-//    resolved delta, emitted straight into the child's offsets/adj/wts
-//    arrays (wgraph::from_csr) — no intermediate edge list, no re-sort,
-//    paid once per delta, never per solve.
+//  * A version holds ONE edge representation: the materialized sssp_input
+//    CSR the solvers read (per-vertex runs sorted by target, deduplicated).
+//    A k-edge delta costs one O(k log k) op map (one final state per
+//    touched (u, v) key) plus ONE linear merge of that map with the
+//    parent's CSR, emitted straight into the child's offsets/adj/wts
+//    arrays (wgraph::from_csr) — no intermediate edge list, no re-sort.
+//    The merge meets every touched key next to its old weight, so the
+//    fingerprint and label bookkeeping ride the same pass. Paid once per
+//    delta, never per solve.
 //  * One writer per session (`writer_m`): deltas serialize against each
 //    other, but hold only the session's writer lock while they build the
 //    new version. Readers take `head_m` just long enough to copy shared
@@ -44,14 +42,14 @@
 // content: two sessions (or two delta histories) reaching the same
 // instance share cache entries.
 //
-// Supported instance kinds: "sssp" (add/remove/reweight directed edges,
-// move the source) and "lis" (append/update sequence elements). The store
-// also tracks incremental-solve hints for sssp: after note_solve() feeds a
-// version's exact distances back, later snapshots carry them plus every
-// edge inserted since, and sssp/incremental re-settles only the affected
-// subgraph. Removals, weight increases, and source moves invalidate the
-// labels (they stop being upper bounds); insertions and decreases keep
-// them.
+// Supported instance kinds (kSessionKinds): "sssp" (add/remove/reweight
+// directed edges, move the source) and "lis" (append/update sequence
+// elements). The store also tracks incremental-solve hints for sssp: after
+// note_solve() feeds a version's exact distances back, later snapshots
+// carry them plus every edge inserted since, and sssp/incremental
+// re-settles only the affected subgraph. Removals, weight increases, and
+// source moves invalidate the labels (they stop being upper bounds);
+// insertions and decreases keep them.
 #pragma once
 
 #include <cstdint>
@@ -60,6 +58,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/annotations.h"
@@ -115,9 +114,12 @@ struct session_desc {
 // every ppserve session verb's response line carries.
 std::string to_json(const session_desc& d);
 
-namespace detail {
-struct pnode;  // persistent treap node (session.cpp)
-}
+// The registry problem names a session can hold: "sssp" (an sssp_input)
+// and "lis" (a unit-weight sequence_input). ppserve checks a create
+// request against this list before building the input.
+inline constexpr std::string_view kSessionKinds[] = {"sssp", "lis"};
+// Throws session_error naming every supported kind unless `problem` is one.
+void require_session_kind(std::string_view problem);
 
 class session_table {
  public:
@@ -141,8 +143,9 @@ class session_table {
 
   // Pin the current head as an immutable snapshot_input (O(1): shared
   // pointers only). Carries incremental hints when a prior solve's labels
-  // are still valid.
-  snapshot_input snapshot(const std::string& name);
+  // are still valid. A non-null `desc` receives the descriptor of exactly
+  // the pinned version (deltas or a drop after the pin cannot skew it).
+  snapshot_input snapshot(const std::string& name, session_desc* desc = nullptr);
 
   // Current metadata without pinning.
   session_desc describe(const std::string& name) const;
@@ -167,21 +170,13 @@ class session_table {
     uint64_t version = 0;
     fingerprint elem_acc{};  // XOR of per-element content hashes
     fingerprint fp{};        // header hash ⊕ elem_acc (the content address)
-    std::shared_ptr<const problem_input> input;  // materialized base
-    // Graph kind only: persistent edge map (path-copied across versions).
-    // The next delta's merge reads the parent edges straight out of
-    // input's CSR (sorted, deduplicated by construction).
-    std::shared_ptr<const detail::pnode> edges;
-    size_t elems = 0;
-    vertex_t n = 0;
-    vertex_t source = 0;
-    uint32_t delta_param = 0;
-    bool is_graph = false;
+    // The materialized sssp_input or sequence_input. For graphs, the next
+    // delta's merge reads the parent edges straight out of this CSR.
+    std::shared_ptr<const problem_input> input;
   };
 
   struct entry {
     std::string name;
-    std::string problem;
 
     // Serializes writers (apply) on this session. Never taken by readers.
     sync::mutex writer_m;
@@ -206,7 +201,8 @@ class session_table {
 
   std::shared_ptr<entry> find_and_touch(const std::string& name);
   std::shared_ptr<entry> find_const(const std::string& name) const;
-  static session_desc describe_entry(const entry& e);
+  // The head (plus live hints) as a snapshot, read under head_m.
+  static snapshot_input pin(const entry& e);
 
   const size_t max_sessions_;
 

@@ -35,7 +35,8 @@ And the PR-10 stateful sessions:
      repeat solve of one version hits the result cache, and every
      malformed verb/row answers an error envelope instead of killing the
      stream; --max-sessions validates like every count flag and bounds
-     the table with LRU eviction.
+     the table with LRU eviction; a create of an unsupported kind is
+     refused before its input is built, naming the supported kinds.
 """
 import json
 import random
@@ -347,6 +348,15 @@ check(not e_verb["ok"] and "create/delta/solve/drop" in e_verb["error"],
       f"unknown session verb lists the vocabulary ({e_verb})")
 check(dr2["ok"] and dr2["session"]["dropped"] is False,
       f"dropping an unknown session acks dropped:false ({dr2})")
+
+# An unsupported kind is refused before its input is built: at the --max-n
+# cap a "graph" instance would be an ~80M-edge rmat graph. The error names
+# the kinds a session can hold.
+(bad_kind,) = interactive_session(["--seed", str(BASE_SEED)], [
+    {"session": "create", "name": "x", "problem": "graph", "n": 10000000},
+])
+check(not bad_kind["ok"] and "sssp" in bad_kind["error"] and "lis" in bad_kind["error"],
+      f"unsupported session kind names the supported ones ({bad_kind})")
 
 # LRU eviction: a 1-slot table forgets the older session when a second is
 # created; the newer one keeps working.

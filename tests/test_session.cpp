@@ -1,8 +1,9 @@
 // Tests for the versioned session store (src/serve/session.h): snapshot
 // isolation while deltas land, XOR-incremental fingerprints that address
 // content (not history), LRU eviction, engine cache/dedup behavior across
-// versions, and exactness of sssp/incremental against the from-scratch
-// reference. The reader/writer tests are the TSan half of the store's
+// versions, exactness of sssp/incremental against the from-scratch
+// reference, and a randomized model check of the delta path against a
+// std::map. The reader/writer tests are the TSan half of the store's
 // contract: readers pinning version v never block the writer installing
 // v+1 (ci runs this binary under -fsanitize=thread).
 #include <gtest/gtest.h>
@@ -10,9 +11,13 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <map>
 #include <mutex>
+#include <optional>
+#include <random>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "checkers.h"
@@ -69,6 +74,17 @@ TEST(Session, CreateDescribeDrop) {
   EXPECT_THROW(tab.describe("nope"), session_error);
   EXPECT_TRUE(tab.drop("p"));
   EXPECT_FALSE(tab.drop("p"));
+  EXPECT_EQ(tab.size(), 0u);
+}
+
+TEST(Session, CreateRejectsUnsupportedKinds) {
+  session_table tab(0);
+  try {
+    tab.create("g", pp::graph_input{});
+    ADD_FAILURE() << "an unsupported kind was accepted";
+  } catch (const session_error& e) {
+    EXPECT_NE(std::string(e.what()).find("sssp or lis"), std::string::npos) << e.what();
+  }
   EXPECT_EQ(tab.size(), 0u);
 }
 
@@ -266,6 +282,185 @@ TEST(Session, StaleSolveNeverClobbersNewerLabels) {
   // eviction racing a solve completion is an expected shape.
   tab.drop("g");
   tab.note_solve("g", 1, d1);
+}
+
+TEST(Session, SnapshotDescribesThePinnedVersion) {
+  // The descriptor snapshot() fills is the pinned version's, read in the
+  // same critical section as the pin: deltas and a drop that land after it
+  // cannot make it describe a newer version (or turn it into an error).
+  session_table tab(0);
+  tab.create("p", path_graph(8));
+  tab.note_solve("p", 0, dijkstra_dist(tab.snapshot("p")));
+  session_desc desc;
+  snapshot_input pin = tab.snapshot("p", &desc);
+  session_delta add, rm;
+  add.add_edges = {{0, 7, 1}, {2, 6, 1}};
+  rm.remove_edges = {{0, 1}};  // invalidates the hints of later versions
+  tab.apply("p", add);
+  tab.apply("p", rm);
+  EXPECT_TRUE(tab.drop("p"));
+
+  EXPECT_EQ(desc.name, "p");
+  EXPECT_EQ(desc.problem, "sssp");
+  EXPECT_EQ(desc.version, 0u);
+  EXPECT_EQ(desc.version, pin.version);
+  EXPECT_EQ(desc.fp, pin.fp);
+  EXPECT_EQ(desc.elems, 7u);
+  EXPECT_EQ(desc.elems, base_of(pin).g.num_edges());
+  EXPECT_TRUE(desc.hints);
+}
+
+TEST(Session, RandomDeltasMatchAMapModel) {
+  // Model check of the delta path: ~50 random deltas (adds, reweights up
+  // and down, removes of present and absent edges, duplicate adds, add +
+  // remove of one key in one delta, source moves) against a std::map
+  // reference. Every version must agree with the model on each CSR row,
+  // elems, the fingerprint of a fresh create of the same edge set, and —
+  // while fed solves keep labels live — hints and inserted_edges.
+  using key = std::pair<vertex_t, vertex_t>;
+  constexpr vertex_t kN = 24;
+  std::mt19937_64 gen(20221);
+  auto pick = [&](uint64_t k) { return static_cast<uint32_t>(gen() % k); };
+
+  std::map<key, uint32_t> model;
+  std::vector<wgraph::wedge> base_edges;
+  for (int i = 0; i < 80; ++i) {
+    wgraph::wedge e{pick(kN), pick(kN), 1 + pick(20)};
+    base_edges.push_back(e);
+    auto [it, fresh] = model.emplace(key{e.u, e.v}, e.w);
+    if (!fresh) it->second = std::min(it->second, e.w);  // create: min weight wins
+  }
+  sssp_input base;
+  base.g = wgraph::from_edges(kN, base_edges);
+  vertex_t source = 0;
+  base.source = source;
+  session_table tab(0);
+  tab.create("m", base);
+
+  auto fresh_fp = [&] {
+    std::vector<wgraph::wedge> edges;
+    for (const auto& [k, w] : model) edges.push_back({k.first, k.second, w});
+    sssp_input in;
+    in.g = wgraph::from_edges(kN, std::move(edges));
+    in.source = source;
+    session_table t(0);
+    return t.create("fresh", in).fp;
+  };
+  auto present = [&] {
+    auto it = model.begin();
+    std::advance(it, pick(model.size()));
+    return it;
+  };
+
+  bool labels_live = false;
+  std::vector<wgraph::wedge> inserted;  // model of inserted_edges
+  for (int round = 0; round < 50; ++round) {
+    if (pick(2) == 0) {
+      snapshot_input s = tab.snapshot("m");
+      tab.note_solve("m", s.version, dijkstra_dist(s));
+      labels_live = true;
+      inserted.clear();
+    }
+
+    // Build a delta; mostly insert-like so labels survive across several.
+    session_delta d;
+    const bool invalidating = pick(3) == 0;
+    for (int op = 0, ops = 1 + pick(6); op < ops; ++op) {
+      switch (model.empty() ? 0 : pick(invalidating ? 8 : 4)) {
+        case 0:  // add (usually an absent key)
+          d.add_edges.push_back({pick(kN), pick(kN), 1 + pick(20)});
+          break;
+        case 1: {  // reweight down (or a no-op at weight 1)
+          auto it = present();
+          int64_t w = std::max<int64_t>(1, int64_t{it->second} - 1 - pick(3));
+          d.add_edges.push_back({it->first.first, it->first.second, static_cast<uint32_t>(w)});
+          break;
+        }
+        case 2: {  // duplicate add: same weight, a no-op
+          auto it = present();
+          d.add_edges.push_back({it->first.first, it->first.second, it->second});
+          break;
+        }
+        case 3:  // remove (usually an absent key)
+          d.remove_edges.push_back({pick(kN), pick(kN)});
+          break;
+        case 4: {  // reweight up
+          auto it = present();
+          d.add_edges.push_back({it->first.first, it->first.second, it->second + 1 + pick(5)});
+          break;
+        }
+        case 5: {  // remove a present edge
+          auto it = present();
+          d.remove_edges.push_back({it->first.first, it->first.second});
+          break;
+        }
+        case 6: {  // add + remove of one key in one delta: the remove wins
+          vertex_t u = pick(kN), v = pick(kN);
+          d.add_edges.push_back({u, v, 1 + pick(20)});
+          d.remove_edges.push_back({u, v});
+          break;
+        }
+        default:
+          d.source = pick(kN);
+          break;
+      }
+    }
+
+    // The model applies the same resolution rule: adds then removes, the
+    // last op on a key wins, touched keys visited in key order.
+    std::map<key, std::optional<uint32_t>> ops;
+    for (const auto& e : d.add_edges) ops[{e.u, e.v}] = e.w;
+    for (const auto& e : d.remove_edges) ops[{e.u, e.v}] = std::nullopt;
+    bool invalidate = d.source && *d.source != source;
+    if (d.source) source = *d.source;
+    for (const auto& [k, nw] : ops) {
+      auto it = model.find(k);
+      std::optional<uint32_t> old;
+      if (it != model.end()) old = it->second;
+      if (nw == old) continue;
+      if (!nw || (old && *nw > *old)) {
+        invalidate = true;
+      } else if (labels_live) {  // the table accumulates only while labels are live
+        inserted.push_back({k.first, k.second, *nw});
+      }
+      if (nw) {
+        model[k] = *nw;
+      } else {
+        model.erase(it);
+      }
+    }
+    if (invalidate) {
+      labels_live = false;
+      inserted.clear();
+    }
+
+    session_desc desc = tab.apply("m", d);
+    snapshot_input s = tab.snapshot("m");
+    const wgraph& g = base_of(s).g;
+    ASSERT_EQ(desc.version, static_cast<uint64_t>(round + 1));
+    ASSERT_EQ(desc.elems, model.size()) << "round " << round;
+    ASSERT_EQ(g.num_edges(), model.size());
+    ASSERT_EQ(base_of(s).source, source);
+    auto mit = model.begin();
+    for (vertex_t u = 0; u < kN; ++u) {
+      auto nbrs = g.out_neighbors(u);
+      auto wts = g.out_weights(u);
+      for (size_t i = 0; i < nbrs.size(); ++i, ++mit) {
+        ASSERT_TRUE(mit != model.end());
+        ASSERT_EQ(key(u, nbrs[i]), mit->first) << "round " << round;
+        ASSERT_EQ(wts[i], mit->second) << "round " << round;
+      }
+    }
+    ASSERT_TRUE(mit == model.end());
+    ASSERT_EQ(desc.fp, fresh_fp()) << "round " << round;
+    ASSERT_EQ(desc.hints, labels_live) << "round " << round;
+    ASSERT_EQ(s.prior_dist != nullptr, labels_live);
+    std::vector<std::tuple<vertex_t, vertex_t, uint32_t>> got, want;
+    if (s.inserted_edges)
+      for (const auto& e : *s.inserted_edges) got.emplace_back(e.u, e.v, e.w);
+    for (const auto& e : inserted) want.emplace_back(e.u, e.v, e.w);
+    ASSERT_EQ(got, want) << "round " << round;
+  }
 }
 
 TEST(Session, LruEvictionBoundsTheTable) {

@@ -199,6 +199,41 @@ void render(const pp::json::value& v, pp::json::writer& w) {
   }
 }
 
+// Wrong-typed members are errors, not silent fallbacks or truncation: a
+// client that sent {"n": "500000"} or {"n": 2000.7} must not get an ok
+// result for a different computation than it asked for.
+bool integral(const pp::json::value& v) {
+  if (const double* d = std::get_if<double>(&v.raw()))
+    return std::isfinite(*d) && *d == std::floor(*d);
+  return v.is_number();  // int64/uint64 alternatives are exact
+}
+
+// The per-solve fields a one-shot request and a session solve share
+// (seed, deadline_ms, priority), parsed into `req`. Returns the error text
+// for the first malformed one — it names the field — or "" when all parse.
+std::string parse_solve_fields(const pp::json::value& doc, pp::serve::request& req) {
+  if (const pp::json::value* v = doc.find("seed")) {
+    if (!integral(*v)) return "request \"seed\" must be an integer";
+    req.seed = v->as_uint64();
+  }
+  if (const pp::json::value* v = doc.find("deadline_ms")) {
+    // Capped at 24h: an absurdly large value would overflow the
+    // ms -> clock-duration (ns) conversion below into a time_point in
+    // the past — the same silent-wrap class the flag validation rejects.
+    constexpr int64_t kMaxDeadlineMs = 86'400'000;
+    if (!integral(*v) || v->as_int64() < 1 || v->as_int64() > kMaxDeadlineMs)
+      return "request \"deadline_ms\" must be an integer in [1, " +
+             std::to_string(kMaxDeadlineMs) + "]";
+    req.deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(v->as_int64());
+  }
+  if (const pp::json::value* v = doc.find("priority")) {
+    auto p = v->is_string() ? pp::serve::parse_priority(v->as_string()) : std::nullopt;
+    if (!p) return "request \"priority\" must be \"interactive\" or \"batch\"";
+    req.prio = *p;
+  }
+  return {};
+}
+
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--port P] [--metrics-port P] [--trace-dir DIR]\n"
@@ -275,17 +310,9 @@ struct session {
       enqueue_error(id, "request needs a string \"solver\" member");
       return;
     }
-    // Wrong-typed members are errors, not silent fallbacks or truncation:
-    // a client that sent {"n": "500000"} or {"n": 2000.7} must not get an
-    // ok result for a different computation than it asked for.
-    auto integral = [](const pp::json::value& v) {
-      if (const double* d = std::get_if<double>(&v.raw()))
-        return std::isfinite(*d) && *d == std::floor(*d);
-      return v.is_number();  // int64/uint64 alternatives are exact
-    };
     int64_t n = 20'000;
     if (const pp::json::value* v = doc.find("n")) {
-      if (!v->is_number() || !integral(*v)) {
+      if (!integral(*v)) {
         enqueue_error(id, "request \"n\" must be an integer");
         return;
       }
@@ -299,34 +326,9 @@ struct session {
 
     pp::serve::request req;
     req.solver = solver->as_string();
-    if (const pp::json::value* v = doc.find("seed")) {
-      if (!v->is_number() || !integral(*v)) {
-        enqueue_error(id, "request \"seed\" must be an integer");
-        return;
-      }
-      req.seed = v->as_uint64();
-    }
-    if (const pp::json::value* v = doc.find("deadline_ms")) {
-      // Capped at 24h: an absurdly large value would overflow the
-      // ms -> clock-duration (ns) conversion below into a time_point in
-      // the past — the same silent-wrap class the flag validation rejects.
-      constexpr int64_t kMaxDeadlineMs = 86'400'000;
-      if (!v->is_number() || !integral(*v) || v->as_int64() < 1 ||
-          v->as_int64() > kMaxDeadlineMs) {
-        enqueue_error(id, "request \"deadline_ms\" must be an integer in [1, " +
-                              std::to_string(kMaxDeadlineMs) + "]");
-        return;
-      }
-      req.deadline = std::chrono::steady_clock::now() +
-                     std::chrono::milliseconds(v->as_int64());
-    }
-    if (const pp::json::value* v = doc.find("priority")) {
-      auto p = v->is_string() ? pp::serve::parse_priority(v->as_string()) : std::nullopt;
-      if (!p) {
-        enqueue_error(id, "request \"priority\" must be \"interactive\" or \"batch\"");
-        return;
-      }
-      req.prio = *p;
+    if (std::string bad = parse_solve_fields(doc, req); !bad.empty()) {
+      enqueue_error(id, std::move(bad));
+      return;
     }
 
     // Build the input outside the engine (factory cost is the client's,
@@ -364,16 +366,11 @@ struct session {
       return;
     }
     const std::string name = nv->as_string();
-    auto integral = [](const pp::json::value& v) {
-      if (const double* d = std::get_if<double>(&v.raw()))
-        return std::isfinite(*d) && *d == std::floor(*d);
-      return v.is_number();
-    };
     // [lo, hi]-checked integer member; writes an error entry and returns
     // false on a wrong type or out-of-range value.
     auto want_int = [&](const pp::json::value& v, const char* what, int64_t lo, int64_t hi,
                         int64_t& out) {
-      if (!v.is_number() || !integral(v) || v.as_int64() < lo || v.as_int64() > hi) {
+      if (!integral(v) || v.as_int64() < lo || v.as_int64() > hi) {
         enqueue_error(id, std::string("session ") + what + " must be an integer in [" +
                               std::to_string(lo) + ", " + std::to_string(hi) + "]");
         return false;
@@ -391,6 +388,9 @@ struct session {
           }
           problem = v->as_string();
         }
+        // Before make_input: an unsupported kind must not first build a
+        // (possibly huge) instance only to be refused by the table.
+        pp::serve::require_session_kind(problem);
         int64_t n = 20'000;
         if (const pp::json::value* v = doc.find("n")) {
           if (!want_int(*v, "\"n\"", 1, static_cast<int64_t>(std::min<uint64_t>(
@@ -400,7 +400,7 @@ struct session {
         }
         uint64_t seed = eng_.reserve_anonymous_seed();
         if (const pp::json::value* v = doc.find("seed")) {
-          if (!v->is_number() || !integral(*v)) {
+          if (!integral(*v)) {
             enqueue_error(id, "session \"seed\" must be an integer");
             return;
           }
@@ -431,7 +431,7 @@ struct session {
             std::array<int64_t, 3> r{0, 0, 0};
             for (size_t j = 0; j < width; ++j) {
               const pp::json::value& cell = row.as_array()[j];
-              if (!cell.is_number() || !integral(cell)) {
+              if (!integral(cell)) {
                 enqueue_error(id, std::string("session ") + what + " entries must hold integers");
                 return false;
               }
@@ -480,7 +480,7 @@ struct session {
             return;
           }
           for (const auto& cell : v->as_array()) {
-            if (!cell.is_number() || !integral(cell)) {
+            if (!integral(cell)) {
               enqueue_error(id, "session \"append\" must be an array of integers");
               return;
             }
@@ -510,26 +510,9 @@ struct session {
         pp::serve::request req;
         req.solver = solver->as_string();
         req.session = name;
-        if (const pp::json::value* v = doc.find("seed")) {
-          if (!v->is_number() || !integral(*v)) {
-            enqueue_error(id, "session \"seed\" must be an integer");
-            return;
-          }
-          req.seed = v->as_uint64();
-        }
-        if (const pp::json::value* v = doc.find("deadline_ms")) {
-          constexpr int64_t kMaxDeadlineMs = 86'400'000;
-          int64_t ms = 0;
-          if (!want_int(*v, "\"deadline_ms\"", 1, kMaxDeadlineMs, ms)) return;
-          req.deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
-        }
-        if (const pp::json::value* v = doc.find("priority")) {
-          auto p = v->is_string() ? pp::serve::parse_priority(v->as_string()) : std::nullopt;
-          if (!p) {
-            enqueue_error(id, "session \"priority\" must be \"interactive\" or \"batch\"");
-            return;
-          }
-          req.prio = *p;
+        if (std::string bad = parse_solve_fields(doc, req); !bad.empty()) {
+          enqueue_error(id, std::move(bad));
+          return;
         }
         if (pp::registry::instance().info(req.solver) == nullptr) {
           enqueue_error(id, "unknown solver '" + req.solver + "'");
@@ -537,13 +520,9 @@ struct session {
         }
         if (!req.seed) req.seed = eng_.reserve_anonymous_seed();
         // Pin the head: the solve reads THIS version even if deltas land
-        // while it is queued. The desc it answers with is the same pinned
-        // version (describe() after snapshot() could already be ahead).
-        pp::snapshot_input snap = tab_.snapshot(name);
-        pp::serve::session_desc desc = tab_.describe(name);
-        desc.version = snap.version;
-        desc.fp = snap.fp;
-        desc.hints = snap.prior_dist != nullptr;
+        // while it is queued, and answers with that version's descriptor.
+        pp::serve::session_desc desc;
+        pp::snapshot_input snap = tab_.snapshot(name, &desc);
         entry e;
         e.id = std::move(id);
         e.session_name = name;
