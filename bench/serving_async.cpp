@@ -1,39 +1,30 @@
 // serving_async: throughput and latency of the async serving engine for N
-// concurrent closed-loop clients, micro-batching on vs off.
+// concurrent closed-loop clients.
 //
 // Each client thread submits one request at a time (closed loop: submit,
 // wait, repeat), so N clients keep N requests in flight — the serving
-// shape the pp::serve engine exists for. Both modes run the identical
-// request stream (same solver, same per-request seeds, same tiny n — many
-// small requests is the traffic the ROADMAP north star describes):
+// shape the pp::serve engine exists for. Every client count runs the same
+// kind of request stream (same solver, per-request seeds, tiny n — many
+// small requests is the traffic the ROADMAP north star describes); each
+// request is its own execution and pool lease.
 //
-//   batching OFF  max_batch = 1, window = 0: every request is its own
-//                 run_batch flush — one pool lease per request;
-//   batching ON   max_batch = clients, window = 200 us: concurrent
-//                 requests coalesce into shared flushes.
-//
-// Reported per mode: wall clock, requests/s, p50/p95 latency
-// (submit -> future ready), pool leases, flushes, and per-request dispatch
-// overhead = (engine exec_seconds - sum of per-item solve seconds) /
-// requests. exec_seconds is the summed wall clock of the run_batch
-// flushes themselves (engine_stats), so the metric isolates lease cycles +
-// scope setup + demux from solve time like bench/serving_batch — but stays
-// meaningful with concurrent executors, where comparing against
-// end-to-end wall clock would not (summed solve time exceeds wall).
-// Expected shape: at >= 32 clients, batching-on overhead is strictly below
-// batching-off (each flush pays one lease for many requests), with the
-// gap widening as solve time shrinks.
+// Reported per client count: wall clock, requests/s, p50/p95 latency
+// (submit -> future ready), pool leases, executions, and per-request
+// dispatch overhead = (engine exec_seconds - sum of per-request solve
+// seconds) / requests. exec_seconds is the summed wall clock of the
+// executions themselves (engine_stats), so the metric isolates lease
+// cycles + scope setup + fan-out from solve time — and stays meaningful
+// with concurrent executors, where comparing against end-to-end wall
+// clock would not (summed solve time exceeds wall).
 //
 // Output: the human table, or with --json a single JSON envelope whose
 // deterministic_top / deterministic_row lists tell the generic checker
 // (tools/bench_baseline_check.py) which fields the committed baseline
-// BENCH_serving_async.json locks in CI: the per-mode score folds and the
-// cross-mode agreement (batching must never change answers). Leases,
-// flushes, and every latency number depend on timing — how many requests
-// coalesce per window is scheduler luck — so they are reported, never
-// compared. Regenerate with
-// `bench/serving_async --json > BENCH_serving_async.json` after an
-// intentional change.
+// BENCH_serving_async.json locks in CI: the per-row score folds and
+// `pass` (every request answered ok). Leases, executions, and every
+// latency number depend on timing, so they are reported, never compared.
+// Regenerate with `bench/serving_async --json > BENCH_serving_async.json`
+// after an intentional change.
 //
 // Env: REPRO_SCALE scales n (default 100 per request), PP_SEED the base
 // seed, PP_BACKEND the execution backend. Engine executors default to 2
@@ -56,31 +47,28 @@ namespace {
 constexpr const char* kSolver = "lis/parallel";
 constexpr const char* kProblem = "lis";
 
-struct mode_result {
+struct load_result {
   double wall = 0;
-  double solve = 0;  // summed per-item envelope seconds
-  double exec = 0;   // summed engine flush wall clock (engine_stats)
+  double solve = 0;  // summed per-request envelope seconds
+  double exec = 0;   // summed engine execution wall clock (engine_stats)
   double p50_us = 0;
   double p95_us = 0;
   uint64_t leases = 0;
-  uint64_t flushes = 0;
+  uint64_t executions = 0;
+  uint64_t failed = 0;  // responses that were not ok
   int64_t score_sum = 0;
 };
 
-mode_result run_mode(size_t clients, size_t per_client, size_t n, bool batching,
-                     const pp::context& base) {
+load_result run_clients(size_t clients, size_t per_client, size_t n, const pp::context& base) {
   pp::serve::engine_options opt;
   opt.max_inflight_runs = 2;
   opt.workers_per_run = 0;  // partition the machine across the executors
   opt.queue_capacity = clients * 2 + 16;
-  opt.batch_window = batching ? std::chrono::microseconds{100} : std::chrono::microseconds{0};
-  opt.max_batch = batching ? clients : 1;
   opt.ctx = base;
   pp::serve::engine eng(opt);
 
   // Pre-build every client's inputs so generation cost stays outside the
-  // timed section. Client c request r uses seed derive_seed(base, c*R+r),
-  // identical across modes.
+  // timed section. Client c request r uses seed derive_seed(base, c*R+r).
   std::vector<std::vector<pp::problem_input>> inputs(clients);
   auto& reg = pp::registry::instance();
   for (size_t c = 0; c < clients; ++c) {
@@ -96,6 +84,7 @@ mode_result run_mode(size_t clients, size_t per_client, size_t n, bool batching,
   std::vector<double> latencies(clients * per_client, 0.0);
   std::vector<double> solve(clients, 0.0);
   std::vector<int64_t> score(clients, 0);
+  std::vector<uint64_t> failed(clients, 0);
   std::atomic<bool> go{false};
   std::vector<std::thread> threads;
   threads.reserve(clients);
@@ -115,6 +104,8 @@ mode_result run_mode(size_t clients, size_t per_client, size_t n, bool batching,
         if (resp.ok()) {
           solve[c] += resp.result.seconds;
           score[c] += pp::score_of(resp.result.value);
+        } else {
+          ++failed[c];
         }
       }
     });
@@ -127,13 +118,14 @@ mode_result run_mode(size_t clients, size_t per_client, size_t n, bool batching,
   auto st = eng.stats();
   eng.stop();
 
-  mode_result out;
+  load_result out;
   out.wall = std::chrono::duration<double>(t1 - t0).count();
   out.exec = st.exec_seconds;
   for (double s : solve) out.solve += s;
   for (int64_t s : score) out.score_sum += s;
+  for (uint64_t f : failed) out.failed += f;
   out.leases = cache.acquires() - leases_before;
-  out.flushes = st.batches;
+  out.executions = st.batches;
   std::sort(latencies.begin(), latencies.end());
   auto pct = [&](size_t p) {
     size_t rank = (latencies.size() * p + 99) / 100;
@@ -155,49 +147,40 @@ int main(int argc, char** argv) {
   const size_t client_counts[] = {1, 8, 32};
 
   if (!json) {
-    bench::banner("serving_async: engine throughput/latency, micro-batching on vs off",
-                  "ROADMAP: async serving engine (admission control + dynamic batching)", base);
+    bench::banner("serving_async: engine throughput/latency under closed-loop clients",
+                  "ROADMAP: async serving engine (admission control)", base);
     std::printf("%s, n = %zu per request, %zu requests per client, closed loop\n"
-                "overhead us/req = (engine exec seconds - sum of per-item solve seconds) / requests\n\n",
+                "overhead us/req = (engine exec seconds - sum of per-request solve seconds) / requests\n\n",
                 kSolver, n, per_client);
-    std::printf("%8s %6s %10s %10s %10s %10s %9s %9s %16s %6s\n", "clients", "batch", "wall s",
-                "req/s", "p50 us", "p95 us", "leases", "flushes", "overhead us/req", "agree");
+    std::printf("%8s %10s %10s %10s %10s %9s %11s %16s\n", "clients", "wall s", "req/s",
+                "p50 us", "p95 us", "leases", "executions", "overhead us/req");
   }
 
   struct json_row {
     size_t clients;
-    bool batching;
-    mode_result m;
+    load_result m;
   };
   std::vector<json_row> rows;
   bool pass = true;
   for (size_t clients : client_counts) {
-    mode_result off = run_mode(clients, per_client, n, /*batching=*/false, base);
-    mode_result on = run_mode(clients, per_client, n, /*batching=*/true, base);
-    pass = pass && on.score_sum == off.score_sum;
+    load_result m = run_clients(clients, per_client, n, base);
+    pass = pass && m.failed == 0;
     const double reqs = static_cast<double>(clients * per_client);
     if (!json) {
-      auto row = [&](const char* mode, const mode_result& m, const char* agree) {
-        std::printf("%8zu %6s %10.4f %10.0f %10.1f %10.1f %9llu %9llu %16.1f %6s\n", clients,
-                    mode, m.wall, reqs / m.wall, m.p50_us, m.p95_us,
-                    static_cast<unsigned long long>(m.leases),
-                    static_cast<unsigned long long>(m.flushes),
-                    (m.exec - m.solve) / reqs * 1e6, agree);
-      };
-      row("off", off, "");
-      row("on", on, on.score_sum == off.score_sum ? "yes" : "NO");
+      std::printf("%8zu %10.4f %10.0f %10.1f %10.1f %9llu %11llu %16.1f\n", clients, m.wall,
+                  reqs / m.wall, m.p50_us, m.p95_us, static_cast<unsigned long long>(m.leases),
+                  static_cast<unsigned long long>(m.executions), (m.exec - m.solve) / reqs * 1e6);
     }
-    rows.push_back({clients, false, off});
-    rows.push_back({clients, true, on});
+    rows.push_back({clients, m});
   }
 
   if (json) {
     // Deterministic fields only cover WHAT was computed (same seeds ->
-    // same score folds in both modes); how the requests coalesced —
-    // leases, flushes, every latency — is timing and stays uncompared.
+    // same score folds); leases, executions and every latency are timing
+    // and stay uncompared.
     pp::json::writer w;
     bench::begin_envelope(w, "serving_async", {"solver", "n", "per_client", "pass"},
-                          {"clients", "batching", "requests", "score_sum"});
+                          {"clients", "requests", "score_sum"});
     w.member("solver", kSolver);
     w.member("n", static_cast<uint64_t>(n));
     w.member("per_client", static_cast<uint64_t>(per_client));
@@ -206,23 +189,20 @@ int main(int argc, char** argv) {
     for (const auto& r : rows) {
       const double reqs = static_cast<double>(r.clients * per_client);
       w.begin_object();
-      w.member("clients", static_cast<uint64_t>(r.clients)).member("batching", r.batching);
+      w.member("clients", static_cast<uint64_t>(r.clients));
       w.member("requests", static_cast<uint64_t>(r.clients * per_client));
       w.member("score_sum", r.m.score_sum);
       w.member("wall_seconds", r.m.wall).member("p50_us", r.m.p50_us);
       w.member("p95_us", r.m.p95_us).member("leases", r.m.leases);
-      w.member("flushes", r.m.flushes);
+      w.member("executions", r.m.executions);
       w.member("overhead_us_per_req", (r.m.exec - r.m.solve) / reqs * 1e6);
       w.end_object();
     }
     w.end_array().end_object();
     std::printf("%s\n", w.str().c_str());
   } else {
-    std::printf("\nagree = both modes fold identical per-request scores (same seeds).\n"
-                "Batching-on coalesces concurrent requests into shared flushes: fewer\n"
-                "leases, strictly lower per-request dispatch overhead at high client\n"
-                "counts (the p50/p95 columns keep the latency cost of the window and\n"
-                "of batchmates sharing a flush honest).\n");
+    std::printf("\nEvery request is its own execution: leases == executions == requests\n"
+                "(no dedup or cache hits: every request has its own seed).\n");
   }
   return pass ? 0 : 1;
 }

@@ -9,7 +9,7 @@
 // closed-loop client cycles R requests over D distinct inputs (D = the
 // working-set size), cache on vs off, and reports hits, misses, pool
 // leases (pool_cache::acquires delta — the honest "work actually executed"
-// metric, as in the batching benches), and a score checksum proving cached
+// metric), and a score checksum proving cached
 // envelopes carry the same answers the executions produced.
 //
 // The client is strictly sequential (submit, wait, repeat), so every
@@ -57,12 +57,8 @@ struct cache_result {
 
 cache_result run_mode(bool cache_on, size_t distinct, size_t n, const pp::context& base) {
   pp::serve::engine_options opt;
-  opt.max_inflight_runs = 1;  // one executor: leases == batches, exactly
+  opt.max_inflight_runs = 1;  // one executor: leases == executions, exactly
   opt.workers_per_run = 2;
-  // Coalescing off: a sequential client never has two requests in flight,
-  // so a batch window would only add idle waiting to every miss.
-  opt.batch_window = std::chrono::microseconds{0};
-  opt.max_batch = 1;
   opt.queue_capacity = 64;
   opt.cache_entries = cache_on ? 256 : 0;
   opt.ctx = base;
@@ -98,7 +94,7 @@ cache_result run_mode(bool cache_on, size_t distinct, size_t n, const pp::contex
     if (r.cached) ++out.cached_responses;
   }
   out.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  out.leases = pool.acquires() - leases0;  // futures resolved => all flushes done
+  out.leases = pool.acquires() - leases0;  // futures resolved => all executions done
   out.stats = eng.stats();
   eng.stop(/*drain=*/false);
   return out;

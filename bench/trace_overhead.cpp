@@ -1,7 +1,7 @@
 // trace_overhead: the disabled tracer must be free on the serving path.
 //
-// PR 8's serving numbers (bench/serving_cache, bench/serving_qos) were
-// measured before any trace emission points existed; this bench asserts
+// The serving benches (bench/serving_cache, bench/serving_async) time the
+// engine path with trace emission points compiled in; this bench asserts
 // the instrumented build costs <2% on that same path with tracing off —
 // i.e. that core/trace.h delivers its "disabled cost ~ one branch"
 // contract where it matters.
@@ -53,8 +53,6 @@ pp::serve::engine_options serve_opts(const pp::context& base) {
   pp::serve::engine_options o;
   o.max_inflight_runs = 1;
   o.workers_per_run = 2;
-  o.batch_window = std::chrono::microseconds(0);
-  o.max_batch = 1;
   o.cache_entries = 0;  // every request takes the full execution path
   o.ctx = base;
   return o;

@@ -26,8 +26,7 @@ catalog::catalog()
       serve_deduped("pp_serve_deduped_total",
                     "Requests collapsed onto an identical in-flight execution"),
       serve_queue_depth("pp_serve_queue_depth", "Requests waiting in the admission queue"),
-      serve_inflight("pp_serve_inflight_runs", "run_batch flushes executing right now"),
-      serve_batch_size("pp_serve_batch_size", "Coalesced requests per run_batch flush"),
+      serve_inflight("pp_serve_inflight_runs", "Engine executions running right now"),
       serve_latency_interactive("pp_serve_latency_interactive_usec",
                                 "Submit-to-delivery latency, interactive class (microseconds)"),
       serve_latency_batch("pp_serve_latency_batch_usec",
@@ -47,7 +46,7 @@ catalog::catalog()
                &pool_leases,      &mq_popped,          &mq_wasted,
                &mq_retries};
   gauges_ = {&serve_queue_depth, &serve_inflight};
-  histograms_ = {&serve_batch_size, &serve_latency_interactive, &serve_latency_batch};
+  histograms_ = {&serve_latency_interactive, &serve_latency_batch};
 }
 
 catalog& catalog::get() {

@@ -60,8 +60,8 @@ class gauge {
 };
 
 // Fixed log-scale buckets: finite upper bounds 2^0, 2^1, ..., 2^30, then
-// +Inf. One histogram shape for every unit (batch sizes, microsecond
-// latencies) keeps observe() branch-free beyond the bucket index.
+// +Inf. One histogram shape for every unit keeps observe() branch-free
+// beyond the bucket index.
 class histogram {
  public:
   static constexpr int kFiniteBuckets = 31;  // le = 1, 2, 4, ..., 2^30
@@ -118,7 +118,6 @@ struct catalog {
   counter serve_deduped;
   gauge serve_queue_depth;
   gauge serve_inflight;
-  histogram serve_batch_size;
   histogram serve_latency_interactive;
   histogram serve_latency_batch;
   // -- tracer ring buffers (core/trace.h) -----------------------------------

@@ -282,16 +282,6 @@ batch_result<solver_value> registry::run_batch_impl(
     const solver_entry& e, size_t count,
     const std::function<const problem_input&(size_t)>& input_at, const context& ctx,
     const batch_options& opts) {
-  if (!opts.seeds.empty() && opts.seeds.size() != count) {
-    throw std::invalid_argument("pp::registry: batch_options.seeds has " +
-                                std::to_string(opts.seeds.size()) + " entries for " +
-                                std::to_string(count) + " items");
-  }
-  if (!opts.tokens.empty() && opts.tokens.size() != count) {
-    throw std::invalid_argument("pp::registry: batch_options.tokens has " +
-                                std::to_string(opts.tokens.size()) + " entries for " +
-                                std::to_string(count) + " items");
-  }
   batch_result<solver_value> out;
   out.solver = e.info.name;
   out.backend = ctx.backend;
@@ -329,33 +319,13 @@ batch_result<solver_value> registry::run_batch_impl(
   // The whole batch shares ONE run_scope: the context is installed and the
   // scheduler bound (pool lease) here, once. Per-item dispatches below
   // construct nested scopes that shadow the batch context with the item's
-  // seed/token and reuse the pinned pool, so scheduler acquisition is
+  // seed and reuse the pinned pool, so scheduler acquisition is
   // amortized across the batch — and nests correctly when run_batch is
   // itself called from inside an enclosing run (no second lease is taken).
   run_scope scope(ctx);
   out.workers = scope.workers();
   for (size_t i : order) {
-    context item_ctx = !opts.seeds.empty() ? ctx.with_seed(opts.seeds[i])
-                       : opts.derive_seeds ? ctx.with_seed(derive_seed(ctx.seed, i))
-                                           : ctx;
-    if (!opts.tokens.empty()) item_ctx = item_ctx.with_cancel(opts.tokens[i]);
-    // An item whose token already fired (e.g. its deadline passed while
-    // earlier batchmates ran) is skipped outright: a cancelled envelope
-    // with no solve time, instead of starting work nobody wants. Items
-    // with live (or no) tokens execute normally — only the expired ones
-    // fail.
-    if (item_ctx.cancel.cancelled()) {
-      run_result<solver_value> res;
-      res.solver = e.info.name;
-      res.backend = item_ctx.backend;
-      res.seed = item_ctx.seed;
-      res.workers = out.workers;
-      res.status = run_status::cancelled;
-      res.input_fp = fp_of(input_at(i));
-      out.scores[i] = 0;
-      out.items[i] = std::move(res);
-      continue;
-    }
+    context item_ctx = opts.derive_seeds ? ctx.with_seed(derive_seed(ctx.seed, i)) : ctx;
     const problem_input& in = input_at(i);
     auto res = run_timed(e.info.name, item_ctx,
                          [&](const context& c) -> solver_value { return e.fn(in, c); });

@@ -259,7 +259,7 @@ class registry {
 
   // Non-throwing metadata lookup: the solver's info, or nullptr when the
   // name is unknown. The serving engine validates requests with this at
-  // admission time so one bad request cannot poison a coalesced batch.
+  // admission time, before a request takes a queue slot.
   const solver_info* info(std::string_view name) const;
 
   // Default random instance of a problem (size n, derived from seed).

@@ -72,19 +72,6 @@ struct batch_options {
   // false: every item runs under ctx.seed verbatim (the --repeats shape:
   // the same measurement repeated, not a batch of independent tasks).
   bool derive_seeds = true;
-  // Non-empty: item i executes under ctx.with_seed(seeds[i]) verbatim,
-  // overriding derive_seeds. This is the micro-batching shape (serve/): N
-  // independent requests, each with its own seed, coalesced into one
-  // batch — item i must reproduce registry::run under exactly seeds[i].
-  // Size must equal the batch count (std::invalid_argument otherwise).
-  std::vector<uint64_t> seeds;
-  // Non-empty: item i executes under tokens[i] (null entries = not
-  // cancellable). An item whose token has already fired when its turn
-  // comes is skipped without running — its envelope reports
-  // run_status::cancelled — and a token firing mid-item cancels that item
-  // at its next phase boundary while later items still execute under
-  // their own tokens. Size must equal the batch count.
-  std::vector<cancel_token> tokens;
 };
 
 inline const char* item_order_name(batch_options::item_order o) {
@@ -100,9 +87,9 @@ struct batch_result {
   // Percentiles are nearest-rank, so each one is an actual observed item
   // time and the ordering min <= p50 <= p95 <= p99 <= max always holds
   // (as does min <= mean <= max). Only items that completed (run_status::
-  // ok) contribute: a cancelled item's partial (or zero, when skipped)
-  // solve time is not a completed-solve observation and would deflate
-  // min/mean/percentiles. All items cancelled = all aggregates zero.
+  // ok) contribute: a cancelled item's partial solve time is not a
+  // completed-solve observation and would deflate min/mean/percentiles.
+  // All items cancelled = all aggregates zero.
   double total_seconds = 0.0;  // sum of per-item solve times
   double min_seconds = 0.0;
   double mean_seconds = 0.0;

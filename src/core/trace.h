@@ -24,7 +24,7 @@
 // Emission points wired by the library: `run_scope` (whole run),
 // `pool_lease` acquire+attach, every `phase_stats::record_frontier`
 // round, `mq_run` worker loops, and the serve engine's queue-wait /
-// coalesce / gather / flush / cache-hit points. Export surfaces:
+// flush / cache-hit / expired points. Export surfaces:
 // `ppdriver run --trace out.json` and ppserve `--trace-dir`.
 //
 // Control-plane calls (set_enabled / snapshot / chrome_json / clear) are

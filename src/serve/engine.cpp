@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <span>
 #include <utility>
 
 #include "core/json.h"
@@ -15,7 +14,7 @@ namespace detail {
 // Invoke a user response callback with exception isolation: a throwing
 // callback must neither escape an executor std::thread (std::terminate)
 // nor propagate out of submit() on the admission-rejection path, and must
-// not trip the batch error path into re-delivering batchmates' promises.
+// not trip the execution error path into re-delivering promises.
 inline void guarded_invoke(const std::function<void(response)>& cb, response&& r) {
   try {
     cb(std::move(r));
@@ -57,7 +56,6 @@ std::future<response> ready_error(std::string err, std::atomic<uint64_t>& failed
 
 engine::engine(engine_options opt) : opts_(std::move(opt)) {
   if (opts_.max_inflight_runs == 0) opts_.max_inflight_runs = 1;
-  if (opts_.max_batch == 0) opts_.max_batch = 1;
   if (opts_.queue_capacity == 0) opts_.queue_capacity = 1;
   exec_ctx_ = opts_.ctx.with_workers(
       resolve_workers_per_run(opts_.workers_per_run, opts_.max_inflight_runs));
@@ -77,9 +75,9 @@ void engine::submit(request req, std::function<void(response)> cb) {
 }
 
 std::future<response> engine::enqueue(request&& req, std::function<void(response)> cb) {
-  // Validate at admission, not execution: a coalesced batch is one
-  // registry::run_batch call, and one malformed request must not fail its
-  // batchmates.
+  // Validate at admission, not execution: a malformed request never
+  // takes a queue slot, and deduped waiters never ride an execution that
+  // would fail for a reason of its own.
   const solver_info* si = registry::instance().info(req.solver);
   if (si == nullptr) {
     metrics::catalog::get().serve_failed.inc();
@@ -157,7 +155,7 @@ std::future<response> engine::enqueue(request&& req, std::function<void(response
         p.session_seq = ss.next_seq++;
         ss.queued.push_back(p.session_seq);
       }
-      queues_[queue_index(p.prio)].push_back(std::move(p));
+      queues_[static_cast<size_t>(p.prio)].push_back(std::move(p));
       submitted_.fetch_add(1, std::memory_order_relaxed);
       metrics::catalog::get().serve_submitted.inc();
       metrics::catalog::get().serve_queue_depth.set(
@@ -173,10 +171,11 @@ std::future<response> engine::enqueue(request&& req, std::function<void(response
     deliver(p, std::move(hit));
     return fut;
   }
-  // notify_all, not notify_one: a single notify can be swallowed by an
-  // executor coalescing a *different* solver inside its batch window (it
-  // gathers nothing and re-waits), leaving an idle executor asleep and
-  // this request stuck until that window expires.
+  // notify_all, not notify_one: not_empty_ also holds executors parked
+  // behind session-blocked entries, and whichever executor takes m_ first
+  // pops the best runnable entry, which need not be this one. Waking every
+  // idle executor (at most max_inflight_runs) lets each re-check the
+  // queue now instead of leaving this request to the 1 ms backstop.
   not_empty_.notify_all();
   return fut;
 }
@@ -215,12 +214,11 @@ bool engine::attach_dup_locked(pending& w) {
     for (auto it = q.begin(); it != q.end(); ++it) {
       pending& e = *it;
       if (e.solver != w.solver || e.fp != w.fp || e.seed != w.seed) continue;
-      size_t want = queue_index(w.prio);
+      size_t want = static_cast<size_t>(w.prio);
       if (want > ci) {
-        // Priority classes respected: an interactive duplicate of a
-        // batch-class leader promotes the whole group — it pops (and
-        // coalesces) at the interactive class from now on, instead of the
-        // interactive waiter queuing behind batch traffic.
+        // An interactive duplicate of a batch-class leader promotes the
+        // whole group — it pops at the interactive class from now on,
+        // instead of the interactive waiter queuing behind batch traffic.
         e.prio = w.prio;
         e.followers.push_back(std::move(w));
         queues_[want].push_back(std::move(e));
@@ -231,35 +229,19 @@ bool engine::attach_dup_locked(pending& w) {
       return true;
     }
   }
-  // Then executions in their window or mid-run — but never a cancellable
-  // flush: its token fires at ITS waiters' latest deadline, and a joiner
-  // outliving that would be poisoned by the shared cancellation. Such a
-  // duplicate queues its own execution instead (correct, just uncollapsed).
+  // Then running executions. A cancellable one is never registered: its
+  // token fires at ITS waiters' latest deadline, and a joiner outliving
+  // that would be poisoned by the shared cancellation. Such a duplicate
+  // queues its own execution instead (correct, just uncollapsed).
   auto it = running_.find(result_key{w.solver, w.fp, w.seed});
-  if (it != running_.end() && !(it->second->started && it->second->cancellable)) {
+  if (it != running_.end()) {
     it->second->waiters.push_back(std::move(w));
     return true;
   }
   return false;
 }
 
-void engine::register_running_locked(pending& p) {
-  auto [it, inserted] = running_.try_emplace(key_of(p), nullptr);
-  if (!inserted) return;  // a cancellable twin is already running; stay invisible
-  it->second = std::make_shared<fanout>();
-  p.fan = it->second;
-}
-
-void engine::seal_for_flush_locked(pending& p) {
-  if (p.fan) {
-    for (auto& w : p.fan->waiters) p.followers.push_back(std::move(w));
-    p.fan->waiters.clear();
-  }
-  // A token cancels the solve for EVERY waiter at once, so the flush is
-  // cancellable only when all waiters consent (each has a deadline); it
-  // then fires at the latest one — the moment nobody can still want the
-  // result. Mixed groups run uncancellable: one waiter's deadline never
-  // poisons the others' shared execution.
+cancel_token engine::start_locked(pending& p) {
   bool all = p.deadline.has_value();
   auto latest = p.deadline.value_or(std::chrono::steady_clock::time_point::min());
   for (const auto& f : p.followers) {
@@ -269,12 +251,13 @@ void engine::seal_for_flush_locked(pending& p) {
     }
     latest = std::max(latest, *f.deadline);
   }
-  p.use_token = all;
-  if (all) p.token_deadline = latest;
-  if (p.fan) {
-    p.fan->started = true;
-    p.fan->cancellable = all;
+  if (all) return cancel_token::at(latest);
+  auto [it, inserted] = running_.try_emplace(key_of(p), nullptr);
+  if (inserted) {
+    it->second = std::make_shared<fanout>();
+    p.fan = it->second;
   }
+  return {};
 }
 
 void engine::finish_running_locked(pending& p, const response* ok, std::vector<pending>& out) {
@@ -322,23 +305,20 @@ bool engine::sweep_entry_locked(pending& p, std::vector<pending>& dead,
   return false;
 }
 
-bool engine::session_eligible_locked(const pending& p, uint64_t tag) const {
+bool engine::session_eligible_locked(const pending& p) const {
   if (p.session.empty()) return true;
   auto it = sessions_.find(p.session);
   if (it == sessions_.end()) return true;  // order book dropped (stop): run freely
   const session_state& ss = it->second;
-  if (ss.queued.empty() || ss.queued.front() != p.session_seq) return false;
-  return ss.live == 0 || ss.owner == tag;
+  return !ss.running && !ss.queued.empty() && ss.queued.front() == p.session_seq;
 }
 
-void engine::session_claim_locked(const pending& p, uint64_t tag) {
+void engine::session_claim_locked(const pending& p) {
   if (p.session.empty()) return;
   auto it = sessions_.find(p.session);
   if (it == sessions_.end()) return;
-  session_state& ss = it->second;
-  ss.queued.pop_front();
-  ++ss.live;
-  ss.owner = tag;
+  it->second.queued.pop_front();
+  it->second.running = true;
 }
 
 void engine::session_release_queued_locked(const pending& p) {
@@ -350,30 +330,26 @@ void engine::session_release_queued_locked(const pending& p) {
   // admission order, unblocking its successors.
   auto q = std::find(ss.queued.begin(), ss.queued.end(), p.session_seq);
   if (q != ss.queued.end()) ss.queued.erase(q);
-  if (ss.queued.empty() && ss.live == 0) sessions_.erase(it);
+  if (ss.queued.empty() && !ss.running) sessions_.erase(it);
 }
 
-void engine::session_release_flushed_locked(const pending& p) {
+void engine::session_release_running_locked(const pending& p) {
   if (p.session.empty()) return;
   auto it = sessions_.find(p.session);
   if (it == sessions_.end()) return;
-  session_state& ss = it->second;
-  if (ss.live > 0) --ss.live;
-  if (ss.live == 0) {
-    ss.owner = 0;
-    if (ss.queued.empty()) sessions_.erase(it);
-  }
+  it->second.running = false;
+  if (it->second.queued.empty()) sessions_.erase(it);
 }
 
-bool engine::pop_head_locked(std::vector<pending>& dead, pending& head, uint64_t tag) {
+bool engine::pop_head_locked(std::vector<pending>& dead, pending& head) {
   auto now = std::chrono::steady_clock::now();
   // Every pop sweeps expired entries out of BOTH deques — not just the
   // one the head comes from. Under sustained interactive traffic the
   // batch deque might otherwise never be examined, leaving an expired
   // batch request unresolved (a hung future) while it pins bounded queue
-  // capacity for work that can never run. O(queue) per pop, same bound
-  // the gather sweep already pays. The sweep is per-waiter: an entry with
-  // surviving dedup followers outlives its own leader's deadline.
+  // capacity for work that can never run. O(queue) per pop, the same
+  // bound dedup's admission scan pays. The sweep is per-waiter: an entry
+  // with surviving dedup followers outlives its own leader's deadline.
   for (auto& q : queues_) {
     for (auto it = q.begin(); it != q.end();) {
       if (sweep_entry_locked(*it, dead, now)) {
@@ -387,55 +363,27 @@ bool engine::pop_head_locked(std::vector<pending>& dead, pending& head, uint64_t
       }
     }
   }
-  // Higher class first. With priority_classes off everything lives in
-  // queues_[0], so the order collapses to plain FIFO. Session-blocked
-  // entries (an earlier entry of their session is queued ahead or mid
-  // flush) are skipped in place — they keep their FIFO slot, later
-  // traffic flows around them.
+  // Higher class first. Session-blocked entries (an earlier entry of
+  // their session is queued ahead or executing) are skipped in place —
+  // they keep their FIFO slot, later traffic flows around them.
   for (size_t ci = 2; ci-- > 0;) {
     std::deque<pending>& q = queues_[ci];
     for (auto it = q.begin(); it != q.end(); ++it) {
-      if (!session_eligible_locked(*it, tag)) continue;
+      if (!session_eligible_locked(*it)) continue;
       head = std::move(*it);
       q.erase(it);
-      session_claim_locked(head, tag);
+      session_claim_locked(head);
       return true;
     }
   }
   return false;
 }
 
-bool engine::gather_locked(std::deque<pending>& q, const std::string& solver, priority cls,
-                           uint64_t tag, std::vector<pending>& batch, std::vector<pending>& dead) {
-  bool removed = false;
-  auto now = std::chrono::steady_clock::now();
-  for (auto it = q.begin(); it != q.end() && batch.size() < opts_.max_batch;) {
-    if (sweep_entry_locked(*it, dead, now)) {
-      session_release_queued_locked(*it);
-      dead.push_back(std::move(*it));
-      it = q.erase(it);
-      removed = true;
-    } else if (it->solver == solver && (!opts_.priority_classes || it->prio == cls) &&
-               session_eligible_locked(*it, tag)) {
-      // Consecutive entries of one session coalesce into THIS flush in
-      // admission order (claiming seq k makes k+1 the session head, and
-      // the deque scan reaches k+1 after k); run_batch executes items
-      // as given, so in-flush order is preserved too.
-      session_claim_locked(*it, tag);
-      batch.push_back(std::move(*it));
-      register_running_locked(batch.back());
-      it = q.erase(it);
-      removed = true;
-    } else {
-      ++it;
-    }
-  }
-  return removed;
-}
-
 void engine::executor_loop() {
   for (;;) {
-    std::vector<pending> batch;
+    pending head;
+    bool popped = false;
+    cancel_token token;
     std::vector<pending> dead;  // expired while queued; resolved below, leaseless
     {
       sync::unique_lock<sync::mutex> lk(m_);
@@ -443,59 +391,14 @@ void engine::executor_loop() {
       // inside the scope the analysis knows holds m_.
       while (!stopping_ && queued_locked() == 0) not_empty_.wait(lk);
       if (queued_locked() == 0) return;  // stopping_ && drained
-      pending head;
-      // This iteration's flush identity: session entries claimed under one
-      // tag (the popped head and its gathered session-mates) share one
-      // flush; a different tag must wait for their release.
-      const uint64_t tag = ++flush_tag_;
-      if (pop_head_locked(dead, head, tag)) {
-        batch.push_back(std::move(head));
-        register_running_locked(batch.back());
-        // By value: growing `batch` reallocates and would invalidate a
-        // reference into batch.front().
-        const std::string solver = batch.front().solver;
-        const priority cls = batch.front().prio;
-
-        // Sweep everything for this solver (and, with QoS on, this class —
-        // a batch request must never ride an interactive flush's lease)
-        // already waiting, then keep the window open for late arrivals
-        // until the batch fills, the window closes, or the engine is
-        // stopping (stop cuts windows short so drain is prompt). Each
-        // sweep rescans the class deque under m_ — O(queue) per window
-        // wakeup, which the operator bounds via queue_capacity. Expired
-        // entries encountered on the way are dropped leaselessly like at
-        // pop time.
-        std::deque<pending>& q = queues_[queue_index(cls)];
-        {
-          trace_span g("serve/gather");
-          if (gather_locked(q, solver, cls, tag, batch, dead)) not_full_.notify_all();
-          // Expiry path annotation: how many queued waiters this sweep
-          // dropped for blown deadlines (leaseless "expired" responses).
-          g.args("expired", dead.size());
-        }
-        if (opts_.batch_window.count() > 0) {
-          // Coalesce: the batch-window wait for same-solver late arrivals.
-          trace_span co("serve/coalesce");
-          auto window_end = std::chrono::steady_clock::now() + opts_.batch_window;
-          while (batch.size() < opts_.max_batch && !stopping_) {
-            if (not_empty_.wait_until(lk, window_end) == std::cv_status::timeout) {
-              if (gather_locked(q, solver, cls, tag, batch, dead)) not_full_.notify_all();
-              break;
-            }
-            if (gather_locked(q, solver, cls, tag, batch, dead)) not_full_.notify_all();
-          }
-          co.args("batch", batch.size(), "expired", dead.size());
-        }
-        // The flush is decided: freeze each entry's cancellability and
-        // absorb window-time joiners. Post-seal joiners keep accumulating
-        // in the fanout (uncancellable flushes only) and are delivered at
-        // completion.
-        for (auto& p : batch) seal_for_flush_locked(p);
+      popped = pop_head_locked(dead, head);
+      if (popped) {
+        token = start_locked(head);
       } else if (queued_locked() > 0) {
         // Nothing runnable but the queue is non-empty: everything left is
-        // session-blocked behind an in-flight flush. Sleep until a release
-        // notification (or a short timeout as a missed-wakeup backstop)
-        // instead of spinning on the pop.
+        // session-blocked behind a running execution. Sleep until a
+        // release notification (or a short timeout as a missed-wakeup
+        // backstop) instead of spinning on the pop.
         not_empty_.wait_for(lk, std::chrono::milliseconds(1));
       }
       metrics::catalog::get().serve_queue_depth.set(
@@ -503,149 +406,78 @@ void engine::executor_loop() {
     }
     not_full_.notify_all();
     for (auto& p : dead) deliver_expired(p);
-    if (batch.empty()) {
-      // Everything we popped had expired; go back to waiting (or exit if
-      // the engine is stopping and the queues drained meanwhile).
-      sync::lock_guard<sync::mutex> lk(m_);
-      if (stopping_ && queued_locked() == 0) return;
-      continue;
-    }
-    // A same-solver request arriving while we execute is picked up by
-    // another executor (or by us on the next loop) — the queue is never
-    // blocked on a running batch.
-    execute(std::move(batch));
+    if (popped) execute(std::move(head), token);
   }
 }
 
-void engine::execute(std::vector<pending> batch) {
+void engine::execute(pending p, const cancel_token& token) {
   unsigned now = inflight_.fetch_add(1, std::memory_order_relaxed) + 1;
   metrics::catalog::get().serve_inflight.add(1);
-  metrics::catalog::get().serve_batch_size.observe(batch.size());
   unsigned peak = peak_inflight_.load(std::memory_order_relaxed);
   while (now > peak &&
          !peak_inflight_.compare_exchange_weak(peak, now, std::memory_order_relaxed)) {
   }
 
-  std::vector<problem_input> inputs;
-  inputs.reserve(batch.size());
-  batch_options opts;
-  opts.seeds.reserve(batch.size());
-  bool any_token = false;
-  for (auto& p : batch) {
-    inputs.push_back(std::move(p.input));
-    opts.seeds.push_back(p.seed);
-    if (p.use_token) any_token = true;
-  }
-  // Each cancellable item carries its own token, so a blown deadline
-  // cancels exactly that item at its next phase boundary (or skips it
-  // before it starts) while batchmates with live or absent deadlines
-  // complete normally — one expired request never fails its flush. The
-  // cancellability decision itself was sealed under m_ (an item with any
-  // deadline-less waiter runs to completion; see seal_for_flush_locked).
-  if (any_token) {
-    opts.tokens.reserve(batch.size());
-    for (auto& p : batch)
-      opts.tokens.push_back(p.use_token ? cancel_token::at(p.token_deadline) : cancel_token{});
-  }
-
   auto t0 = std::chrono::steady_clock::now();
-  size_t delivered = 0;  // entries already resolved; never re-delivered on error
+  response r;
   try {
-    trace_span flush("serve/flush", "batch", batch.size());
-    auto br = registry::run_batch(batch.front().solver,
-                                  std::span<const problem_input>(inputs), exec_ctx_, opts);
-    // Cancellation path annotation: items whose deadline token fired
-    // mid-run (the solve unwound at a phase boundary, batchmates intact).
-    size_t cancelled_items = 0;
-    for (const auto& item : br.items)
-      if (item.cancelled()) ++cancelled_items;
-    flush.args("batch", batch.size(), "cancelled", cancelled_items);
-    flush.end();
-    exec_nanos_.fetch_add(
-        static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                  std::chrono::steady_clock::now() - t0)
-                                  .count()),
-        std::memory_order_relaxed);
-    batches_.fetch_add(1, std::memory_order_relaxed);
-    if (batch.size() > 1) batched_.fetch_add(batch.size(), std::memory_order_relaxed);
-    for (; delivered < batch.size(); ++delivered) {
-      pending& p = batch[delivered];
-      response r;
-      r.result = std::move(br.items[delivered]);
-      const bool ok_item = !r.result.cancelled();
-      if (!ok_item) r.error = "cancelled: deadline exceeded mid-run";
-      // Unregister the dedup slot, collect every waiter, and cache a
-      // successful envelope — atomically w.r.t. new submissions, so a
-      // duplicate arriving now either finds the cache entry or queues a
-      // fresh execution; it can never join a completed fanout.
-      std::vector<pending> waiters;
-      {
-        sync::lock_guard<sync::mutex> lk(m_);
-        finish_running_locked(p, ok_item ? &r : nullptr, waiters);
-        session_release_flushed_locked(p);
-      }
-      // Fan the envelope out: one execution, every waiter answered. A
-      // waiter whose deadline lapsed mid-run still gets the result — the
-      // work is already paid for; deadlines shed queued work, not
-      // finished envelopes.
-      for (auto& w : waiters) {
-        response copy = r;
-        if (ok_item) {
-          completed_.fetch_add(1, std::memory_order_relaxed);
-          metrics::catalog::get().serve_completed.inc();
-        } else {
-          cancelled_.fetch_add(1, std::memory_order_relaxed);
-          metrics::catalog::get().serve_cancelled.inc();
-        }
-        deliver(w, std::move(copy));
-      }
-      if (ok_item) {
-        completed_.fetch_add(1, std::memory_order_relaxed);
-        metrics::catalog::get().serve_completed.inc();
-      } else {
-        cancelled_.fetch_add(1, std::memory_order_relaxed);
-        metrics::catalog::get().serve_cancelled.inc();
-      }
-      deliver(p, std::move(r));
-    }
+    trace_span flush("serve/flush");
+    r.result = registry::run(p.solver, p.input, exec_ctx_.with_seed(p.seed).with_cancel(token));
+    // Cancellation path annotation: the deadline token fired mid-run (the
+    // solve unwound at a phase boundary).
+    flush.args("cancelled", r.result.cancelled() ? 1 : 0);
   } catch (const std::exception& e) {
     // Admission-time validation makes this unreachable for well-formed
-    // requests; a solver throwing mid-batch fails the whole flush — but
-    // only the entries not already resolved above.
-    fail_from(batch, delivered, e.what());
+    // requests; a solver that throws fails its execution.
+    r.error = e.what();
   } catch (...) {
     // A non-std exception escaping the executor std::thread would
-    // std::terminate the whole process; fail the flush instead.
-    fail_from(batch, delivered, "solver threw a non-std exception");
+    // std::terminate the whole process; fail the execution instead.
+    r.error = "solver threw a non-std exception";
   }
-  inflight_.fetch_sub(1, std::memory_order_relaxed);
-  metrics::catalog::get().serve_inflight.sub(1);
-  // Session releases above may have unblocked a skipped entry; wake
-  // executors parked on the session-blocked wait.
-  not_empty_.notify_all();
-}
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  exec_nanos_.fetch_add(
+      static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count()),
+      std::memory_order_relaxed);
+  batches_.fetch_add(1, std::memory_order_relaxed);
 
-void engine::fail_from(std::vector<pending>& batch, size_t first, const char* what) {
-  for (size_t i = first; i < batch.size(); ++i) {
-    // A genuinely failed flush is a shared fact: every deduped waiter
-    // gets the same error its leader does (and nothing is cached).
-    std::vector<pending> waiters;
-    {
-      sync::lock_guard<sync::mutex> lk(m_);
-      finish_running_locked(batch[i], nullptr, waiters);
-      session_release_flushed_locked(batch[i]);
-    }
-    failed_.fetch_add(1 + waiters.size(), std::memory_order_relaxed);
-    metrics::catalog::get().serve_failed.inc(1 + waiters.size());
-    for (auto& w : waiters) {
-      response r;
-      r.error = what;
-      deliver(w, std::move(r));
-    }
-    response r;
-    r.error = what;
-    deliver(batch[i], std::move(r));
+  const bool cancelled = r.ok() && r.result.cancelled();
+  if (cancelled) r.error = "cancelled: deadline exceeded mid-run";
+  const bool ok = r.ok();
+  const bool in_session = !p.session.empty();
+  // Unregister the dedup slot, collect every waiter, and cache a
+  // successful envelope — atomically w.r.t. new submissions, so a
+  // duplicate arriving now either finds the cache entry or queues a fresh
+  // execution; it can never join a completed fanout.
+  std::vector<pending> waiters;
+  {
+    sync::lock_guard<sync::mutex> lk(m_);
+    finish_running_locked(p, ok ? &r : nullptr, waiters);
+    session_release_running_locked(p);
   }
+  // Fan the envelope out: one execution, every waiter answered the same
+  // way. A waiter whose deadline lapsed mid-run still gets the result —
+  // the work is already paid for; deadlines shed queued work, not
+  // finished envelopes.
+  metrics::catalog& m = metrics::catalog::get();
+  const uint64_t answered = waiters.size() + 1;
+  if (ok) {
+    completed_.fetch_add(answered, std::memory_order_relaxed);
+    m.serve_completed.inc(answered);
+  } else if (cancelled) {
+    cancelled_.fetch_add(answered, std::memory_order_relaxed);
+    m.serve_cancelled.inc(answered);
+  } else {
+    failed_.fetch_add(answered, std::memory_order_relaxed);
+    m.serve_failed.inc(answered);
+  }
+  for (auto& w : waiters) deliver(w, response(r));
+  deliver(p, std::move(r));
+  inflight_.fetch_sub(1, std::memory_order_relaxed);
+  m.serve_inflight.sub(1);
+  // The session release above may have unblocked a skipped entry; wake
+  // executors parked on the session-blocked wait.
+  if (in_session) not_empty_.notify_all();
 }
 
 void engine::deliver(pending& p, response&& r) {
@@ -727,7 +559,6 @@ engine_stats engine::stats() const {
   s.expired = expired_.load(std::memory_order_relaxed);
   s.cancelled = cancelled_.load(std::memory_order_relaxed);
   s.batches = batches_.load(std::memory_order_relaxed);
-  s.batched = batched_.load(std::memory_order_relaxed);
   s.cache_hits = cache_hits_.load(std::memory_order_relaxed);
   s.cache_misses = cache_misses_.load(std::memory_order_relaxed);
   s.deduped = deduped_.load(std::memory_order_relaxed);
@@ -747,7 +578,6 @@ std::string to_json(const engine_stats& s) {
   w.member("expired", s.expired);
   w.member("cancelled", s.cancelled);
   w.member("batches", s.batches);
-  w.member("batched", s.batched);
   w.member("cache_hits", s.cache_hits);
   w.member("cache_misses", s.cache_misses);
   w.member("deduped", s.deduped);

@@ -11,22 +11,16 @@
 //   auto fut = eng.submit({.solver = "lis/parallel", .input = in, .seed = 7});
 //   pp::serve::response r = fut.get();   // r.result is a run_result envelope
 //
-// Two mechanisms:
+// Four mechanisms:
 //
 //  * Admission control. Clients enqueue into a bounded MPMC queue (submit
 //    blocks when it is full — backpressure, not unbounded buffering). A
-//    fixed set of `max_inflight_runs` executor threads drains it, so at
-//    most that many run_scopes — and therefore at most that many exclusive
-//    pool_cache leases of `workers_per_run` workers each — are ever live.
-//    Concurrent runs *partition* the machine (R pools of W workers)
-//    instead of oversubscribing it.
-//
-//  * Dynamic micro-batching. An executor that pops a request waits up to
-//    `batch_window` for more requests naming the same solver (up to
-//    `max_batch`), then executes them as ONE registry::run_batch — one
-//    pool lease, one scheduler binding — and demultiplexes the per-item
-//    envelopes back to the individual futures. Each request executes under
-//    its own seed (batch_options::seeds), so a coalesced submit returns
+//    fixed set of `max_inflight_runs` executor threads drains it, one
+//    request at a time, so at most that many run_scopes — and therefore at
+//    most that many exclusive pool_cache leases of `workers_per_run`
+//    workers each — are ever live. Concurrent runs *partition* the machine
+//    (R pools of W workers) instead of oversubscribing it. Each popped
+//    request is one registry::run under its own seed, so a submit returns
 //    bit-for-bit what a standalone registry::run under that seed returns.
 //
 //  * Content addressing (dedup + result cache). Every run is deterministic
@@ -41,26 +35,22 @@
 //
 //  * QoS. Requests carry a priority class and an optional deadline.
 //    Interactive requests pop before batch requests (FIFO within a
-//    class), coalescing never crosses classes, a request whose deadline
-//    passes while queued is dropped at pop time without taking a pool
-//    lease (`expired`), and an in-flight request carries a
-//    pp::cancel_token so a blown deadline unwinds its solve at the next
-//    phase boundary (`cancelled`) while unexpired batchmates complete.
+//    class), a request whose deadline passes while queued is dropped at
+//    pop time without taking a pool lease (`expired`), and an in-flight
+//    request carries a pp::cancel_token so a blown deadline unwinds its
+//    solve at the next phase boundary (`cancelled`).
 //
 //  * Session affinity. Requests carrying a session key (stateful clients:
 //    src/serve/session.h) execute in admission order per session — a
 //    later solve on a session never starts before an earlier one
 //    finishes, so version-ordered feedback (note_solve) and callbacks
-//    observe the session's timeline. Entries of ONE session may still
-//    coalesce into a single flush (run_batch preserves item order), but
-//    never into two concurrent flushes; cross-session and sessionless
-//    traffic coalesces exactly as before. A session-blocked entry is
-//    skipped at pop time rather than blocking the head of the queue.
+//    observe the session's timeline. A session-blocked entry is skipped at
+//    pop time rather than blocking the head of the queue.
 //
-// Every batch executes under the engine's single execution profile
-// (options::ctx + workers_per_run), with each item's own seed. Each
-// executor installs its run's context on its own thread, and forks inherit
-// it (parallel/api.h), so concurrent executors never observe each other's
+// Every request executes under the engine's single execution profile
+// (options::ctx + workers_per_run) with its own seed. Each executor
+// installs its run's context on its own thread, and forks inherit it
+// (parallel/api.h), so concurrent executors never observe each other's
 // seeds. Requests therefore carry solver + input + seed only;
 // backend/width policy belongs to the server operator, as in any serving
 // system.
@@ -91,9 +81,8 @@
 
 namespace pp::serve {
 
-// QoS class of a request. Higher classes pop first (same-class requests
-// stay FIFO), and micro-batching coalesces only within a class, so a
-// batch request can never ride an interactive flush's pool lease.
+// QoS class of a request. Higher classes pop first; same-class requests
+// stay FIFO.
 enum class priority : uint8_t {
   batch = 0,        // throughput traffic; yields to interactive
   interactive = 1,  // latency-sensitive; jumps the admission queue
@@ -120,7 +109,7 @@ inline std::optional<priority> parse_priority(std::string_view s) {
 // a request still queued past its deadline is dropped at pop time (an
 // `expired` response, zero pool leases), and an in-flight request carries
 // a pp::cancel_token that cancels its solve at the next phase boundary
-// (a `cancelled` response) — batchmates with live deadlines are unaffected.
+// (a `cancelled` response).
 struct request {
   std::string solver;
   problem_input input;
@@ -153,16 +142,6 @@ struct engine_options {
   unsigned workers_per_run = 0;
   // Bounded admission queue; submit blocks (backpressure) when full.
   size_t queue_capacity = 1024;
-  // How long an executor holding a fresh request waits for more requests
-  // of the same solver before flushing. 0 = flush immediately (batching
-  // effectively off when combined with max_batch = 1).
-  std::chrono::microseconds batch_window{200};
-  // Largest coalesced batch; 1 disables coalescing.
-  size_t max_batch = 16;
-  // QoS classes on: interactive requests pop before batch requests and
-  // classes never share a flush. Off: one FIFO queue, classes ignored —
-  // the A/B baseline bench/serving_qos measures against.
-  bool priority_classes = true;
   // Bounded LRU of recent (solver, input fingerprint, seed) → response
   // envelopes. A repeat submission is answered at admission with a copy
   // of the stored envelope (response::cached), zero queue slots and zero
@@ -172,7 +151,7 @@ struct engine_options {
   // deployment's input scale. 0 = cache off (in-flight dedup stays on;
   // it needs no storage).
   size_t cache_entries = 256;
-  // Execution profile every batch runs under: backend, grain, pivot, and
+  // Execution profile every request runs under: backend, grain, pivot, and
   // the base seed anonymous requests derive from. ctx.workers is ignored
   // in favor of workers_per_run.
   context ctx = default_context();
@@ -188,11 +167,10 @@ struct engine_stats {
   uint64_t failed = 0;        // responses delivered with an error (not QoS)
   uint64_t expired = 0;       // deadline passed while queued: dropped at pop
                               // (or rejected at submit), zero pool leases
-  uint64_t cancelled = 0;     // deadline fired after the flush started: the
-                              // solve unwound at a phase boundary (or the
-                              // item was skipped inside its leased batch)
-  uint64_t batches = 0;       // run_batch flushes (== pool leases taken)
-  uint64_t batched = 0;       // requests that shared a flush with >= 1 other
+  uint64_t cancelled = 0;     // deadline fired after the execution started:
+                              // the solve unwound at a phase boundary
+  uint64_t batches = 0;       // executions (one registry::run each, so
+                              // == pool leases taken)
   uint64_t cache_hits = 0;    // answered from the LRU at submit: zero queue
                               // slots, zero pool leases (response::cached)
   uint64_t cache_misses = 0;  // cache enabled but held no entry for the key
@@ -200,12 +178,11 @@ struct engine_stats {
                               // execution as a waiter (zero extra leases)
   unsigned peak_inflight = 0; // high-water mark of concurrent run_scopes
   size_t queue_depth = 0;     // requests waiting right now
-  // Summed wall-clock of the run_batch flushes themselves (batch window
-  // waits excluded). exec_seconds minus the per-item solve seconds is the
-  // engine's total dispatch overhead — lease cycles, scope setup, demux —
-  // and stays meaningful under concurrent executors, where comparing
-  // against end-to-end wall clock would not (concurrency makes summed
-  // solve time exceed wall time).
+  // Summed wall-clock of the executions themselves. exec_seconds minus
+  // the per-request solve seconds is the engine's total dispatch overhead
+  // — lease cycles, scope setup, fan-out — and stays meaningful under
+  // concurrent executors, where comparing against end-to-end wall clock
+  // would not (concurrency makes summed solve time exceed wall time).
   double exec_seconds = 0.0;
 };
 
@@ -229,13 +206,13 @@ class engine {
   std::future<response> submit(request req);
 
   // Callback form: `cb` runs on the executor thread that finished the
-  // request's batch (keep it cheap; it delays the executor's next pop).
+  // request's execution (keep it cheap; it delays the executor's next pop).
   void submit(request req, std::function<void(response)> cb);
 
-  // Stop accepting work. drain=true executes everything still queued
-  // (windows are cut short); drain=false fails queued-but-unstarted
-  // requests with "engine stopped". Either way every future issued by
-  // submit() is resolved when stop() returns. Idempotent.
+  // Stop accepting work. drain=true executes everything still queued;
+  // drain=false fails queued-but-unstarted requests with "engine
+  // stopped". Either way every future issued by submit() is resolved when
+  // stop() returns. Idempotent.
   void stop(bool drain = true);
 
   engine_stats stats() const;
@@ -252,22 +229,19 @@ class engine {
   // The resolved per-run width (options.workers_per_run, or the even
   // machine partition when that was 0).
   unsigned workers_per_run() const { return exec_ctx_.workers; }
-  // The profile batches execute under (seed = the engine base seed; item
-  // seeds override it per request).
+  // The profile requests execute under (seed = the engine base seed;
+  // request seeds override it).
   const context& execution_context() const { return exec_ctx_; }
 
  private:
   struct pending;
 
-  // Mid-run attach slot for in-flight dedup: while a (solver, fingerprint,
-  // seed) execution sits in its batch window or runs, running_ maps its
-  // key here so late identical submissions can still join. Every field is
-  // protected by m_ (the attribute syntax cannot name engine::m_ from a
-  // nested struct, so the guard is by construction: all access sites hold
-  // it).
+  // Mid-run attach slot for in-flight dedup: while an uncancellable
+  // (solver, fingerprint, seed) execution runs, running_ maps its key here
+  // so late identical submissions can still join. Protected by m_ (the
+  // attribute syntax cannot name engine::m_ from a nested struct, so the
+  // guard is by construction: all access sites hold it).
   struct fanout {
-    bool started = false;      // flush launched; `cancellable` is final
-    bool cancellable = false;  // flush carries a cancel token: no more joins
     std::vector<pending> waiters;
   };
 
@@ -284,15 +258,12 @@ class engine {
     std::promise<response> prom;
     std::function<void(response)> cb;  // when set, used instead of prom
     // Deduped waiters riding this entry's execution (leaders only; a
-    // waiter's own list is empty). Mutated under m_; the executing thread
-    // owns it after seal_for_flush_locked.
+    // waiter's own list is empty). Mutated under m_ while queued; the
+    // executor owns it once the entry is popped.
     std::vector<pending> followers;
-    // This entry's running_ slot, while registered (executing entries only).
+    // This entry's running_ slot while it executes (uncancellable
+    // executions only).
     std::shared_ptr<fanout> fan;
-    // Flush decision (seal_for_flush_locked): carry a cancel token iff
-    // every waiter has a deadline; it fires at the latest one.
-    bool use_token = false;
-    std::chrono::steady_clock::time_point token_deadline{};
     // Session affinity: the key and this entry's position in the
     // session's admission order (sessions_[session].queued holds the
     // live positions, FIFO).
@@ -311,10 +282,8 @@ class engine {
 
   std::future<response> enqueue(request&& req, std::function<void(response)> cb);
   void executor_loop();
-  void execute(std::vector<pending> batch);
-  // Fail batch entries [first, end) with `what` (the not-yet-delivered
-  // tail when a flush throws).
-  void fail_from(std::vector<pending>& batch, size_t first, const char* what);
+  // Run one popped entry under `token` and answer it and every waiter.
+  void execute(pending p, const cancel_token& token);
   static void deliver(pending& p, response&& r);
   // Resolve `p` with an "expired" error (deadline passed before any pool
   // lease was taken) and count it.
@@ -328,20 +297,21 @@ class engine {
   // past the bound. Cancelled/errored responses are never inserted.
   void cache_insert_locked(const result_key& k, const response& r) PP_REQUIRES(m_);
   // Collapse an identical (solver, fingerprint, seed) submission onto an
-  // existing queued or joinable running execution; true = `w` was consumed.
+  // existing queued or running uncancellable execution; true = `w` was
+  // consumed.
   bool attach_dup_locked(pending& w) PP_REQUIRES(m_);
-  // Make a just-popped entry joinable while it waits out the batch window
-  // and runs: running_[key] → a fresh fanout (skipped if the key is
-  // already running — the second execution simply collects no joiners).
-  void register_running_locked(pending& p) PP_REQUIRES(m_);
-  // Freeze an entry's flush decision: absorb window-time joiners into
-  // `followers`, decide cancellability (all waiters deadline'd → token at
-  // the latest deadline), and mark the fanout started.
-  void seal_for_flush_locked(pending& p) PP_REQUIRES(m_);
-  // Completion bookkeeping for one flushed entry: unregister its running_
-  // slot, move every remaining waiter into `out` for delivery, and cache
-  // the envelope (successful results only — a cancelled sole execution
-  // must not poison future hits).
+  // Start a just-popped entry, in the same m_ section as the pop. A token
+  // cancels the solve for every waiter at once, so the execution is
+  // cancellable only when every waiter has a deadline; the returned token
+  // then fires at the latest one. Otherwise the token is null and the
+  // entry becomes joinable mid-run: running_[key] → a fresh fanout
+  // (skipped if the key is already running — the second execution simply
+  // collects no joiners).
+  cancel_token start_locked(pending& p) PP_REQUIRES(m_);
+  // Completion bookkeeping for one executed entry: unregister its running_
+  // slot, move every waiter into `out` for delivery, and cache the
+  // envelope (successful results only — a cancelled execution must not
+  // poison future hits).
   void finish_running_locked(pending& p, const response* ok, std::vector<pending>& out)
       PP_REQUIRES(m_);
   // Per-waiter deadline sweep of one queued entry: expired followers move
@@ -354,34 +324,26 @@ class engine {
 
   // ---- session affinity helpers; the m_ requirement is machine-checked ------
   // Per-session ordering state. `queued` holds the admission positions of
-  // the session's queued entries (front = next allowed to run); `live` /
-  // `owner` track entries claimed into a not-yet-finished flush and which
-  // flush holds them. Erased when both drain, so idle sessions cost zero.
+  // the session's queued entries (front = next allowed to run); `running`
+  // is set while one of its entries executes. Erased when both drain, so
+  // idle sessions cost zero.
   struct session_state {
     uint64_t next_seq = 0;
     std::deque<uint64_t> queued;
-    size_t live = 0;
-    uint64_t owner = 0;  // flush tag; meaningful while live > 0
+    bool running = false;
   };
-  // May `p` start under flush `tag`? True when p is sessionless, or is the
-  // session's FIFO head with no other flush in flight (entries already
-  // claimed by THIS tag don't block their session-mates — that is what
-  // lets one flush carry several consecutive entries of a session).
-  bool session_eligible_locked(const pending& p, uint64_t tag) const PP_REQUIRES(m_);
-  // Claim an eligible entry into flush `tag` (pops its queued position).
-  void session_claim_locked(const pending& p, uint64_t tag) PP_REQUIRES(m_);
+  // May `p` start? True when p is sessionless, or is the session's FIFO
+  // head and none of the session's entries is executing.
+  bool session_eligible_locked(const pending& p) const PP_REQUIRES(m_);
+  // Mark an eligible entry as executing (pops its queued position).
+  void session_claim_locked(const pending& p) PP_REQUIRES(m_);
   // Un-queue an entry that dies without running (expired / orphaned).
   void session_release_queued_locked(const pending& p) PP_REQUIRES(m_);
-  // Release a flushed entry; when the session's flush fully drains, its
-  // next queued entry becomes eligible (callers notify not_empty_).
-  void session_release_flushed_locked(const pending& p) PP_REQUIRES(m_);
+  // Release an executed entry; its session's next queued entry becomes
+  // eligible (callers notify not_empty_).
+  void session_release_running_locked(const pending& p) PP_REQUIRES(m_);
 
   // ---- queue helpers; the m_ requirement is machine-checked -----------------
-  // Which deque a pending lands in: its class when priority_classes, the
-  // single FIFO otherwise.
-  size_t queue_index(priority p) const {
-    return opts_.priority_classes ? static_cast<size_t>(p) : 0;
-  }
   size_t queued_locked() const PP_REQUIRES(m_) {
     return queues_[0].size() + queues_[1].size();
   }
@@ -392,18 +354,7 @@ class engine {
   // — moving every already-expired entry encountered into `dead` and
   // skipping (not disturbing) session-blocked entries. Returns false when
   // nothing runnable is queued.
-  bool pop_head_locked(std::vector<pending>& dead, pending& head, uint64_t tag)
-      PP_REQUIRES(m_);
-  // Sweep-and-coalesce into `batch` every queued entry of `q` matching
-  // the flush head (same solver; same class when QoS is on; session
-  // eligible under `tag`), up to max_batch, registering each as joinable.
-  // True = entries left the queue, so the caller wakes backpressured
-  // submitters NOW — with a small queue, a window-waiting executor that
-  // just drained it is waiting for exactly the requests those submitters
-  // hold.
-  bool gather_locked(std::deque<pending>& q, const std::string& solver, priority cls,
-                     uint64_t tag, std::vector<pending>& batch, std::vector<pending>& dead)
-      PP_REQUIRES(m_);
+  bool pop_head_locked(std::vector<pending>& dead, pending& head) PP_REQUIRES(m_);
 
   engine_options opts_;
   context exec_ctx_;  // opts_.ctx with workers = resolved workers_per_run
@@ -411,9 +362,9 @@ class engine {
   mutable sync::mutex m_;
   std::condition_variable_any not_empty_;  // executors wait here
   std::condition_variable_any not_full_;   // blocked submitters wait here
-  // [0] = batch class, [1] = interactive; everything in [0] when
-  // priority_classes is off. Capacity bounds the sum of *entries*; deduped
-  // waiters ride their leader's slot and are not counted.
+  // Indexed by priority class: [0] = batch, [1] = interactive. Capacity
+  // bounds the sum of *entries*; deduped waiters ride their leader's slot
+  // and are not counted.
   std::deque<pending> queues_[2] PP_GUARDED_BY(m_);
   bool stopping_ PP_GUARDED_BY(m_) = false;
   // Result cache: LRU list (front = most recent) + key index into it.
@@ -423,13 +374,10 @@ class engine {
   };
   std::list<cache_entry> lru_ PP_GUARDED_BY(m_);
   std::map<result_key, std::list<cache_entry>::iterator> cache_ PP_GUARDED_BY(m_);
-  // In-flight dedup: keys currently in a batch window or executing.
+  // In-flight dedup: keys of uncancellable executions running right now.
   std::map<result_key, std::shared_ptr<fanout>> running_ PP_GUARDED_BY(m_);
   // Session affinity order books (erased when a session fully drains).
   std::map<std::string, session_state> sessions_ PP_GUARDED_BY(m_);
-  // Flush identity: each executor iteration that pops a head draws a tag;
-  // session entries claimed under one tag share one flush.
-  uint64_t flush_tag_ PP_GUARDED_BY(m_) = 0;
 
   std::vector<std::thread> executors_;
   std::once_flag join_once_;
@@ -443,7 +391,6 @@ class engine {
   std::atomic<uint64_t> expired_{0};
   std::atomic<uint64_t> cancelled_{0};
   std::atomic<uint64_t> batches_{0};
-  std::atomic<uint64_t> batched_{0};
   std::atomic<uint64_t> cache_hits_{0};
   std::atomic<uint64_t> cache_misses_{0};
   std::atomic<uint64_t> deduped_{0};

@@ -70,12 +70,15 @@ def check(cond, msg):
 
 
 # ---- 1. flag validation ------------------------------------------------------
-for flags in (["--queue", "-1"], ["--max-batch", "-3"], ["--batch-window-us", "-5"],
-              ["--max-inflight", "-2"], ["--workers-per-run", "-1"], ["--max-n", "0"],
-              ["--queue", "banana"], ["--cache-entries", "-1"], ["--cache-entries", "0"],
-              ["--cache-entries", "banana"]):
+for flags in (["--queue", "-1"], ["--max-inflight", "-2"], ["--workers-per-run", "-1"],
+              ["--max-n", "0"], ["--queue", "banana"], ["--cache-entries", "-1"],
+              ["--cache-entries", "0"], ["--cache-entries", "banana"]):
     rc, out, err = run(flags)
     check(rc == 2, f"{' '.join(flags)} rejected with exit 2 (got {rc}, stderr: {err.strip()!r})")
+
+# The engine has no batching knobs: a former batching flag is an unknown flag.
+rc, out, err = run(["--max-batch", "4"])
+check(rc == 2 and "usage:" in err, f"--max-batch 4 is an unknown flag, exit 2 (got {rc})")
 
 rc, out, err = run(["--max-inflight", "0"], stdin="")
 check(rc == 0 and "clamped to 1" in err, f"--max-inflight 0 clamped explicitly ({err.strip()!r})")
@@ -233,7 +236,7 @@ check(isinstance(m.get("metrics"), str) and "# TYPE" in m["metrics"],
       "metrics response carries Prometheus text as a JSON string")
 prom = m["metrics"]
 for name in ("pp_serve_submitted_total", "pp_serve_queue_depth", "pp_serve_cache_hits_total",
-             "pp_serve_batch_size", "pp_pool_leases_total"):
+             "pp_pool_leases_total"):
     check(name in prom, f"metric family {name} present in the rendering")
 # Both responses were read before the metrics line was sent, so the
 # process-wide counters must reflect that traffic: one executed solve
@@ -243,8 +246,8 @@ check(prom_value(prom, "pp_serve_submitted_total") == 1,
 check(prom_value(prom, "pp_serve_cache_hits_total") == 1
       and prom_value(prom, "pp_serve_completed_total") == 2,
       "cache-hit and completed counters moved with the traffic")
-check(prom_value(prom, "pp_serve_batch_size_count") >= 1,
-      "batch-size histogram observed the flush")
+check(prom_value(prom, "pp_pool_leases_total") >= 1,
+      "pool-lease counter observed the execution")
 
 rc, out, err = run(["--metrics-port", "0"])
 check(rc == 2, f"--metrics-port 0 rejected with exit 2 (got {rc})")

@@ -1,8 +1,8 @@
 // Tests for cooperative cancellation (core/cancel.h): token semantics,
 // phase-granular unwinding through every instrumented round loop,
-// run_status::cancelled envelopes from the registry, per-item tokens in
-// run_batch, and the guarantee that token-free runs are bit-for-bit
-// unchanged (the determinism suite's contract).
+// run_status::cancelled envelopes from the registry, and the guarantee
+// that token-free runs are bit-for-bit unchanged (the determinism suite's
+// contract).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -138,44 +138,6 @@ TEST(Cancel, TokenFreeRunsBitForBitUnchanged) {
     EXPECT_EQ(plain.stats.rounds, tokened.stats.rounds) << name;
     EXPECT_EQ(plain.stats.processed, tokened.stats.processed) << name;
   }
-}
-
-TEST(Cancel, BatchSkipsPreCancelledItemsRunsTheRest) {
-  auto& reg = registry::instance();
-  auto in = reg.make_input("lis", 1'000, 3);
-  pp::context ctx = native2().with_seed(41);
-
-  pp::batch_options opts;
-  opts.seeds = {100, 101, 102};
-  cancel_token dead = cancel_token::manual();
-  dead.cancel();
-  opts.tokens = {cancel_token{}, dead, cancel_token::after(1h)};
-
-  std::vector<pp::problem_input> inputs = {in, in, in};
-  auto br = registry::run_batch("lis/parallel", std::span<const pp::problem_input>(inputs),
-                                ctx, opts);
-  ASSERT_EQ(br.count(), 3u);
-  EXPECT_EQ(br.items[0].status, run_status::ok);
-  EXPECT_EQ(br.items[1].status, run_status::cancelled);
-  EXPECT_EQ(br.items[1].seconds, 0.0) << "skipped item must not have run";
-  EXPECT_EQ(br.items[2].status, run_status::ok);
-  // Survivors match standalone runs under their seeds exactly.
-  for (size_t i : {size_t{0}, size_t{2}}) {
-    auto solo = registry::run("lis/parallel", in, ctx.with_seed(100 + i));
-    EXPECT_EQ(br.scores[i], pp::score_of(solo.value)) << i;
-  }
-  EXPECT_EQ(br.scores[1], 0);
-  // Timing aggregates cover completed items only: the skipped item's 0.0
-  // seconds must not deflate min/mean/percentiles.
-  EXPECT_GT(br.min_seconds, 0.0);
-  EXPECT_DOUBLE_EQ(br.total_seconds, br.items[0].seconds + br.items[2].seconds);
-
-  // Token-count mismatch is rejected like a seed-count mismatch.
-  pp::batch_options bad;
-  bad.tokens = {cancel_token{}};
-  EXPECT_THROW(registry::run_batch("lis/parallel", std::span<const pp::problem_input>(inputs),
-                                   ctx, bad),
-               std::invalid_argument);
 }
 
 TEST(Cancel, CancelledEnvelopeSerializesStatus) {

@@ -252,28 +252,6 @@ TEST(RegistryBatch, PercentileAggregatesOrdered) {
   EXPECT_DOUBLE_EQ(one.max_seconds, one.items[0].seconds);
 }
 
-TEST(RegistryBatch, ExplicitSeedsOverrideDerivation) {
-  // batch_options::seeds (the micro-batching shape): item i executes
-  // under exactly seeds[i], reproducible with standalone runs.
-  auto& reg = registry::instance();
-  std::vector<pp::problem_input> inputs;
-  for (uint64_t s : {41u, 42u, 43u}) inputs.push_back(reg.make_input("lis", 900, s));
-  pp::context ctx = pp::context{}.with_backend(pp::backend_kind::native).with_seed(1);
-
-  pp::batch_options opts;
-  opts.seeds = {901, 902, 903};
-  auto batch = registry::run_batch("lis/parallel", inputs, ctx, opts);
-  for (size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(batch.items[i].seed, opts.seeds[i]) << i;
-    auto solo = registry::run("lis/parallel", inputs[i], ctx.with_seed(opts.seeds[i]));
-    EXPECT_EQ(batch.scores[i], pp::score_of(solo.value)) << i;
-  }
-
-  // Size mismatch is rejected before any work happens.
-  opts.seeds = {1, 2};
-  EXPECT_THROW(registry::run_batch("lis/parallel", inputs, ctx, opts), std::invalid_argument);
-}
-
 TEST(RegistryBatch, MatchesLoopOfRuns) {
   // The amortized path must be invisible to results: batch item i ==
   // registry::run under the derived seed, score for score.

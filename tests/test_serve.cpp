@@ -1,8 +1,8 @@
-// Tests for the async serving engine (src/serve/): micro-batched submits
-// reproduce standalone registry::run results seed-for-seed, coalesced
-// requests cost one pool lease per flushed batch, concurrent run_scopes
-// respect max_inflight_runs, and shutdown resolves every future (drain
-// and fail modes) without hangs or leaks.
+// Tests for the async serving engine (src/serve/): submits reproduce
+// standalone registry::run results seed-for-seed, every executed request
+// costs one pool lease, concurrent run_scopes respect max_inflight_runs,
+// QoS, dedup and the result cache hold, and shutdown resolves every
+// future (drain and fail modes) without hangs or leaks.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -38,8 +38,6 @@ TEST(Serve, EverySolverMatchesStandaloneRun) {
   engine_options opt;
   opt.max_inflight_runs = 2;
   opt.workers_per_run = 2;
-  opt.batch_window = 2ms;
-  opt.max_batch = 4;
   opt.ctx = native2().with_seed(17);
   engine eng(opt);
 
@@ -71,58 +69,14 @@ TEST(Serve, EverySolverMatchesStandaloneRun) {
   }
 }
 
-TEST(Serve, CoalescedBatchCostsOneLease) {
-  // Acceptance (b), first half: K same-solver requests inside one window
-  // flush as ONE run_batch — one pool lease — and still demux to per-seed
-  // exact results.
-  constexpr size_t kReqs = 6;
-  engine_options opt;
-  opt.max_inflight_runs = 1;  // one executor: deterministic single flush
-  opt.workers_per_run = 2;
-  opt.batch_window = 100ms;
-  opt.max_batch = kReqs;
-  opt.ctx = native2().with_seed(5);
-  engine eng(opt);
-
-  auto& cache = pp::detail::pool_cache::instance();
-  auto in = registry::instance().make_input("lis", 800, 7);
-  uint64_t leases_before = cache.acquires();
-
-  std::vector<std::future<response>> futs;
-  for (size_t i = 0; i < kReqs; ++i) {
-    request req;
-    req.solver = "lis/parallel";
-    req.input = in;
-    req.seed = 100 + i;
-    futs.push_back(eng.submit(std::move(req)));
-  }
-  std::vector<response> rs;
-  for (auto& f : futs) rs.push_back(f.get());
-  uint64_t leases = cache.acquires() - leases_before;
-  auto st = eng.stats();
-  eng.stop();
-
-  EXPECT_EQ(st.batches, 1u) << "expected one coalesced flush";
-  EXPECT_EQ(leases, st.batches) << "one pool lease per flushed batch";
-  EXPECT_EQ(st.batched, kReqs);
-  for (size_t i = 0; i < kReqs; ++i) {
-    ASSERT_TRUE(rs[i].ok()) << rs[i].error;
-    EXPECT_EQ(rs[i].result.seed, 100 + i) << i;
-    auto solo = registry::run("lis/parallel", in, eng.execution_context().with_seed(100 + i));
-    EXPECT_EQ(pp::score_of(rs[i].result.value), pp::score_of(solo.value)) << i;
-  }
-}
-
 TEST(Serve, InflightRunsNeverExceedLimit) {
-  // Acceptance (b), second half: with max_inflight_runs = R, concurrent
-  // leased pools never exceed R. Batching off so every request is its own
-  // run_scope; pool_cache::in_use() is sampled while the engine churns.
+  // With max_inflight_runs = R, concurrent leased pools never exceed R,
+  // and every request is its own execution with its own lease;
+  // pool_cache::in_use() is sampled while the engine churns.
   constexpr unsigned kR = 2;
   engine_options opt;
   opt.max_inflight_runs = kR;
   opt.workers_per_run = 2;
-  opt.batch_window = std::chrono::microseconds{0};
-  opt.max_batch = 1;
   opt.ctx = native2().with_seed(3);
   engine eng(opt);
 
@@ -156,8 +110,9 @@ TEST(Serve, InflightRunsNeverExceedLimit) {
 
   EXPECT_LE(max_in_use, kR) << "concurrent leased pools exceeded max_inflight_runs";
   EXPECT_LE(st.peak_inflight, kR);
-  EXPECT_EQ(st.batches, kReqs) << "batching off: every request is its own flush";
-  EXPECT_EQ(cache.acquires() - leases_before, st.batches);
+  EXPECT_EQ(st.submitted, kReqs);
+  EXPECT_EQ(st.batches, kReqs) << "every request is its own execution";
+  EXPECT_EQ(cache.acquires() - leases_before, st.batches) << "one pool lease per execution";
 }
 
 TEST(Serve, AnonymousRequestsDeriveSeedsFromBase) {
@@ -184,8 +139,6 @@ TEST(Serve, InvalidRequestsFailFastWithoutPoisoningBatches) {
   engine_options opt;
   opt.max_inflight_runs = 1;
   opt.workers_per_run = 2;
-  opt.batch_window = 50ms;
-  opt.max_batch = 4;
   opt.ctx = native2();
   engine eng(opt);
 
@@ -232,8 +185,6 @@ TEST(Serve, StopDrainResolvesEverythingOk) {
   engine_options opt;
   opt.max_inflight_runs = 1;
   opt.workers_per_run = 2;
-  opt.batch_window = std::chrono::microseconds{0};
-  opt.max_batch = 2;
   opt.ctx = native2();
   engine eng(opt);
 
@@ -257,8 +208,6 @@ TEST(Serve, StopWithoutDrainFailsPendingFutures) {
   engine_options opt;
   opt.max_inflight_runs = 1;
   opt.workers_per_run = 1;
-  opt.batch_window = std::chrono::microseconds{0};
-  opt.max_batch = 1;
   opt.ctx = native2().with_workers(1);
   engine eng(opt);
 
@@ -293,8 +242,6 @@ TEST(Serve, BoundedQueueBackpressureCompletesEverything) {
   opt.max_inflight_runs = 1;
   opt.workers_per_run = 1;
   opt.queue_capacity = 2;
-  opt.batch_window = std::chrono::microseconds{0};
-  opt.max_batch = 1;
   opt.ctx = native2().with_workers(1);
   engine eng(opt);
 
@@ -314,8 +261,6 @@ TEST(Serve, ExpiredBeforePopTakesNoLease) {
   engine_options opt;
   opt.max_inflight_runs = 1;  // one executor we can keep busy
   opt.workers_per_run = 2;
-  opt.batch_window = std::chrono::microseconds{0};
-  opt.max_batch = 1;
   opt.ctx = native2().with_seed(3);
   engine eng(opt);
 
@@ -345,7 +290,7 @@ TEST(Serve, ExpiredBeforePopTakesNoLease) {
   EXPECT_NE(r.error.find("expired"), std::string::npos) << r.error;
   EXPECT_EQ(st.expired, 1u);
   EXPECT_EQ(st.cancelled, 0u);
-  EXPECT_EQ(st.batches, 1u) << "only the blocker may flush";
+  EXPECT_EQ(st.batches, 1u) << "only the blocker may execute";
   EXPECT_EQ(cache.acquires() - leases_before, st.batches)
       << "the expired request must not cost a pool lease";
 }
@@ -358,8 +303,6 @@ TEST(Serve, ExpiredBatchEntryResolvedDespiteInteractiveTraffic) {
   engine_options opt;
   opt.max_inflight_runs = 1;
   opt.workers_per_run = 2;
-  opt.batch_window = std::chrono::microseconds{0};
-  opt.max_batch = 1;
   opt.ctx = native2().with_seed(3);
   engine eng(opt);
 
@@ -421,8 +364,6 @@ TEST(Serve, InteractiveClassPopsBeforeBatchClass) {
   engine_options opt;
   opt.max_inflight_runs = 1;
   opt.workers_per_run = 2;
-  opt.batch_window = std::chrono::microseconds{0};
-  opt.max_batch = 1;
   opt.queue_capacity = 64;
   opt.ctx = native2().with_seed(7);
   engine eng(opt);
@@ -465,49 +406,65 @@ TEST(Serve, InteractiveClassPopsBeforeBatchClass) {
   EXPECT_EQ(order, want) << "interactive first, FIFO within each class";
 }
 
-TEST(Serve, CoalescingNeverCrossesClasses) {
-  // Same solver, same window — but a batch-class request must not ride an
-  // interactive flush's lease: expect separate flushes per class.
+TEST(Serve, InteractiveProbesCompleteUnderSaturatingBatchLoad) {
+  // The QoS contract under load: with the lone executor saturated by
+  // closed-loop batch-class clients (the queue never drains), every
+  // interactive probe completes — none expires and none fails. Latency is
+  // timing and stays unasserted; the pop order itself is
+  // InteractiveClassPopsBeforeBatchClass.
   engine_options opt;
   opt.max_inflight_runs = 1;
   opt.workers_per_run = 2;
-  opt.batch_window = 100ms;
-  opt.max_batch = 8;
   opt.queue_capacity = 64;
-  opt.ctx = native2().with_seed(5);
+  opt.ctx = native2().with_seed(7);
   engine eng(opt);
 
-  auto big = registry::instance().make_input("lis", 8'000, 9);
-  auto small = registry::instance().make_input("lis", 300, 9);
-  auto blocker = eng.submit({"lis/parallel", big, 1});
-  // Outwait the blocker's own batch window (100ms): its flush must be
-  // closed and running before the probe requests arrive, or they would
-  // legitimately coalesce into it (same solver, same class).
-  std::this_thread::sleep_for(150ms);
+  auto bg_in = registry::instance().make_input("lis", 1'500, 8);
+  auto probe_in = registry::instance().make_input("lis", 150, 9);
+  constexpr unsigned kBgClients = 4;
+  std::atomic<bool> stop{false};
+  std::atomic<size_t> bg_failed{0};
+  std::vector<std::thread> bg;
+  for (unsigned c = 0; c < kBgClients; ++c) {
+    bg.emplace_back([&, c] {
+      for (uint64_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+        request req;
+        req.solver = "lis/parallel";
+        req.input = bg_in;
+        req.seed = 1'000 + c * 1'000'000 + i;
+        req.prio = pp::serve::priority::batch;
+        if (!eng.submit(std::move(req)).get().ok()) bg_failed.fetch_add(1);
+      }
+    });
+  }
+  // Probe only once batch work is waiting behind the running solve.
+  bool saturated = false;
+  for (auto give_up = std::chrono::steady_clock::now() + 10s;
+       !saturated && std::chrono::steady_clock::now() < give_up; std::this_thread::yield())
+    saturated = eng.stats().queue_depth > 0;
 
-  std::vector<std::future<response>> futs;
-  for (int i = 0; i < 2; ++i) {
+  constexpr size_t kProbes = 10;
+  size_t probes_ok = 0;
+  for (size_t p = 0; p < kProbes; ++p) {
     request req;
     req.solver = "lis/parallel";
-    req.input = small;
-    req.seed = 10 + i;
+    req.input = probe_in;
+    req.seed = 9'000 + p;
     req.prio = pp::serve::priority::interactive;
-    futs.push_back(eng.submit(std::move(req)));
+    response r = eng.submit(std::move(req)).get();
+    EXPECT_TRUE(r.ok()) << "probe " << p << ": " << r.error;
+    if (r.ok()) ++probes_ok;
   }
-  for (int i = 0; i < 2; ++i) {
-    request req;
-    req.solver = "lis/parallel";
-    req.input = small;
-    req.seed = 20 + i;
-    req.prio = pp::serve::priority::batch;
-    futs.push_back(eng.submit(std::move(req)));
-  }
-  for (auto& f : futs) EXPECT_TRUE(f.get().ok());
+  stop.store(true);
+  for (auto& t : bg) t.join();
   auto st = eng.stats();
   eng.stop();
 
-  EXPECT_EQ(st.batches, 3u) << "blocker + one interactive flush + one batch flush";
-  EXPECT_EQ(st.batched, 4u) << "both coalesced flushes had 2 requests each";
+  EXPECT_TRUE(saturated) << "the batch load never queued; the test lost its point";
+  EXPECT_EQ(probes_ok, kProbes);
+  EXPECT_EQ(st.expired, 0u);
+  EXPECT_EQ(st.failed, 0u);
+  EXPECT_EQ(bg_failed.load(), 0u);
 }
 
 TEST(Serve, MidRunDeadlineCancelsFasterThanFullSolve) {
@@ -517,8 +474,6 @@ TEST(Serve, MidRunDeadlineCancelsFasterThanFullSolve) {
   engine_options opt;
   opt.max_inflight_runs = 1;
   opt.workers_per_run = 2;
-  opt.batch_window = std::chrono::microseconds{0};
-  opt.max_batch = 1;
   opt.ctx = native2().with_seed(5);
   engine eng(opt);
 
@@ -545,87 +500,6 @@ TEST(Serve, MidRunDeadlineCancelsFasterThanFullSolve) {
   EXPECT_EQ(st.expired, 0u);
   EXPECT_LT(elapsed, 0.5 * full.seconds)
       << "cancelled request took " << elapsed << "s vs full solve " << full.seconds << "s";
-}
-
-TEST(Serve, BlownDeadlineFailsOnlyExpiredBatchmates) {
-  // Two requests coalesce into one flush; the first carries a deadline
-  // that blows mid-run. It must come back `cancelled` while its unexpired
-  // batchmate completes with the exact standalone result.
-  auto in = registry::instance().make_input("lis", 8'000, 13);
-  engine_options opt;
-  opt.max_inflight_runs = 1;
-  opt.workers_per_run = 2;
-  opt.batch_window = 200ms;  // hold the flush until both requests arrive
-  opt.max_batch = 2;
-  opt.ctx = native2().with_seed(5);
-  engine eng(opt);
-
-  request doomed;
-  doomed.solver = "lis/parallel";
-  doomed.input = in;
-  doomed.seed = 1;
-  doomed.deadline = std::chrono::steady_clock::now() + 30ms;
-  auto f0 = eng.submit(std::move(doomed));
-  auto f1 = eng.submit({"lis/parallel", in, 2});  // no deadline
-
-  response r0 = f0.get();
-  response r1 = f1.get();
-  auto st = eng.stats();
-  eng.stop();
-
-  EXPECT_EQ(st.batches, 1u) << "both requests must share one flush";
-  EXPECT_FALSE(r0.ok());
-  EXPECT_NE(r0.error.find("cancelled"), std::string::npos) << r0.error;
-  ASSERT_TRUE(r1.ok()) << r1.error;
-  auto solo = registry::run("lis/parallel", in, eng.execution_context().with_seed(2));
-  EXPECT_EQ(pp::score_of(r1.result.value), pp::score_of(solo.value));
-  EXPECT_EQ(st.cancelled, 1u);
-  EXPECT_EQ(st.completed, 1u);
-}
-
-TEST(Serve, PriorityClassesOffIsPlainFifo) {
-  // The bench baseline: with priority_classes off, an interactive request
-  // queued after batch requests waits its FIFO turn.
-  engine_options opt;
-  opt.max_inflight_runs = 1;
-  opt.workers_per_run = 2;
-  opt.batch_window = std::chrono::microseconds{0};
-  opt.max_batch = 1;
-  opt.priority_classes = false;
-  opt.ctx = native2().with_seed(7);
-  engine eng(opt);
-
-  auto big = registry::instance().make_input("lis", 8'000, 9);
-  auto small = registry::instance().make_input("lis", 200, 9);
-  auto blocker = eng.submit({"lis/parallel", big, 1});
-  std::this_thread::sleep_for(20ms);
-
-  std::mutex order_m;
-  std::vector<std::string> order;
-  auto tag = [&](std::string label) {
-    return [&, label = std::move(label)](response r) {
-      EXPECT_TRUE(r.ok()) << label << ": " << r.error;
-      std::lock_guard<std::mutex> lk(order_m);
-      order.push_back(label);
-    };
-  };
-  request b;
-  b.solver = "lis/parallel";
-  b.input = small;
-  b.seed = 10;
-  b.prio = pp::serve::priority::batch;
-  eng.submit(std::move(b), tag("b"));
-  request i;
-  i.solver = "lis/parallel";
-  i.input = small;
-  i.seed = 11;
-  i.prio = pp::serve::priority::interactive;
-  eng.submit(std::move(i), tag("i"));
-  EXPECT_TRUE(blocker.get().ok());
-  eng.stop(/*drain=*/true);
-
-  std::vector<std::string> want = {"b", "i"};
-  EXPECT_EQ(order, want) << "classes off: strict FIFO";
 }
 
 TEST(Serve, AnonymousSeedsUniqueAcrossThreads) {
@@ -664,8 +538,6 @@ TEST(Serve, CacheHitTakesNoLeaseAndIsBitIdentical) {
   engine_options opt;
   opt.max_inflight_runs = 1;
   opt.workers_per_run = 2;
-  opt.batch_window = std::chrono::microseconds{0};
-  opt.max_batch = 1;
   opt.ctx = native2().with_seed(5);
   engine eng(opt);
 
@@ -704,8 +576,6 @@ TEST(Serve, CacheOffExecutesEveryRepeat) {
   engine_options opt;
   opt.max_inflight_runs = 1;
   opt.workers_per_run = 2;
-  opt.batch_window = std::chrono::microseconds{0};
-  opt.max_batch = 1;
   opt.cache_entries = 0;  // dedup stays on; the cache is gone
   opt.ctx = native2().with_seed(5);
   engine eng(opt);
@@ -733,8 +603,6 @@ TEST(Serve, ConcurrentIdenticalSubmissionsExecuteOnce) {
   engine_options opt;
   opt.max_inflight_runs = 1;  // keep the executor busy with a blocker
   opt.workers_per_run = 2;
-  opt.batch_window = std::chrono::microseconds{0};
-  opt.max_batch = 1;
   opt.ctx = native2().with_seed(5);
   engine eng(opt);
 
@@ -757,7 +625,7 @@ TEST(Serve, ConcurrentIdenticalSubmissionsExecuteOnce) {
 
   EXPECT_EQ(st.deduped, kN - 1) << "duplicates must attach, not re-queue";
   EXPECT_EQ(st.submitted, 2u) << "blocker + one leader entered the queue";
-  EXPECT_EQ(st.batches, 2u) << "blocker flush + ONE shared execution";
+  EXPECT_EQ(st.batches, 2u) << "blocker + ONE shared execution";
   EXPECT_EQ(leases, st.batches) << "deduped waiters must not cost pool leases";
   for (size_t i = 0; i < kN; ++i) {
     ASSERT_TRUE(rs[i].ok()) << rs[i].error;
@@ -786,8 +654,6 @@ TEST(Serve, CachedAndDedupedMatchStandaloneForEverySolver) {
   engine_options opt;
   opt.max_inflight_runs = 1;
   opt.workers_per_run = 2;
-  opt.batch_window = std::chrono::microseconds{0};
-  opt.max_batch = 1;
   opt.queue_capacity = 256;
   opt.ctx = native2().with_seed(17);
   engine eng(opt);
@@ -857,8 +723,6 @@ TEST(Serve, WaiterDeadlineNeverPoisonsSharedExecution) {
     engine_options opt;
     opt.max_inflight_runs = 1;
     opt.workers_per_run = 2;
-    opt.batch_window = std::chrono::microseconds{0};
-    opt.max_batch = 1;
     opt.ctx = native2().with_seed(5);
     engine eng(opt);
     auto blocker = eng.submit({"lis/parallel", big, 1});
@@ -894,8 +758,6 @@ TEST(Serve, WaiterDeadlineNeverPoisonsSharedExecution) {
     engine_options opt;
     opt.max_inflight_runs = 1;
     opt.workers_per_run = 2;
-    opt.batch_window = std::chrono::microseconds{0};
-    opt.max_batch = 1;
     opt.ctx = native2().with_seed(5);
     engine eng(opt);
     auto blocker = eng.submit({"lis/parallel", big, 1});
@@ -934,8 +796,6 @@ TEST(Serve, CancelledSoleExecutionIsNotCached) {
   engine_options opt;
   opt.max_inflight_runs = 1;
   opt.workers_per_run = 2;
-  opt.batch_window = std::chrono::microseconds{0};
-  opt.max_batch = 1;
   opt.ctx = native2().with_seed(5);
   engine eng(opt);
 
@@ -970,8 +830,6 @@ TEST(Serve, RunningCancellableExecutionRefusesJoiners) {
   engine_options opt;
   opt.max_inflight_runs = 1;
   opt.workers_per_run = 2;
-  opt.batch_window = std::chrono::microseconds{0};
-  opt.max_batch = 1;
   opt.ctx = native2().with_seed(5);
   engine eng(opt);
 
@@ -1004,8 +862,6 @@ TEST(Serve, LruEvictionHonorsCacheBound) {
   engine_options opt;
   opt.max_inflight_runs = 1;
   opt.workers_per_run = 1;
-  opt.batch_window = std::chrono::microseconds{0};
-  opt.max_batch = 1;
   opt.cache_entries = 2;
   opt.ctx = native2().with_workers(1).with_seed(5);
   engine eng(opt);
@@ -1042,8 +898,6 @@ TEST(Serve, ConcurrentExecutorsRunUnderTheirOwnSeeds) {
   engine_options opt;
   opt.max_inflight_runs = 3;
   opt.workers_per_run = 1;
-  opt.batch_window = std::chrono::microseconds{0};
-  opt.max_batch = 1;
   opt.cache_entries = 0;  // every request executes
   opt.ctx = native2().with_workers(1).with_seed(11);
   engine eng(opt);

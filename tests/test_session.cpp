@@ -569,7 +569,6 @@ TEST(Session, EngineCacheHitsAcrossVersionsByContent) {
   pp::serve::engine_options opt;
   opt.max_inflight_runs = 1;
   opt.workers_per_run = 1;
-  opt.batch_window = std::chrono::microseconds(0);
   opt.ctx = pp::context{}.with_backend(pp::backend_kind::native).with_workers(1).with_seed(5);
   pp::serve::engine eng(opt);
   session_table tab(0);
@@ -616,7 +615,6 @@ TEST(Session, EngineSessionAffinityCompletesInOrderTraffic) {
   pp::serve::engine_options opt;
   opt.max_inflight_runs = 2;
   opt.workers_per_run = 1;
-  opt.batch_window = std::chrono::microseconds(50);
   opt.ctx = pp::context{}.with_backend(pp::backend_kind::native).with_workers(1).with_seed(9);
   pp::serve::engine eng(opt);
   session_table tab(0);

@@ -270,7 +270,7 @@ TEST(Metrics, HistogramLogBuckets) {
   EXPECT_EQ(histogram::bucket_index(UINT64_MAX), histogram::kFiniteBuckets);
 
   pp::metrics::reset_for_tests();
-  auto& h = pp::metrics::catalog::get().serve_batch_size;
+  auto& h = pp::metrics::catalog::get().serve_latency_interactive;
   for (uint64_t v : {0ull, 1ull, 2ull, 3ull, 1000000ull}) h.observe(v);
   EXPECT_EQ(h.count(), 5u);
   EXPECT_EQ(h.sum(), 1000006u);
@@ -290,7 +290,7 @@ TEST(Metrics, PrometheusRenderGolden) {
   auto& m = pp::metrics::catalog::get();
   m.serve_submitted.inc(3);
   m.serve_queue_depth.set(2);
-  m.serve_batch_size.observe(4);
+  m.serve_latency_interactive.observe(4);
   std::string out = pp::metrics::render_prometheus();
 
   const char* kAllNames[] = {
@@ -304,7 +304,6 @@ TEST(Metrics, PrometheusRenderGolden) {
       "pp_serve_deduped_total",
       "pp_serve_queue_depth",
       "pp_serve_inflight_runs",
-      "pp_serve_batch_size",
       "pp_serve_latency_interactive_usec",
       "pp_serve_latency_batch_usec",
       "pp_trace_ring_overwrites_total",
@@ -323,13 +322,17 @@ TEST(Metrics, PrometheusRenderGolden) {
   EXPECT_NE(out.find("\npp_serve_submitted_total 3\n"), std::string::npos);
   EXPECT_NE(out.find("# TYPE pp_serve_queue_depth gauge\n"), std::string::npos);
   EXPECT_NE(out.find("\npp_serve_queue_depth 2\n"), std::string::npos);
-  EXPECT_NE(out.find("# TYPE pp_serve_batch_size histogram\n"), std::string::npos);
+  EXPECT_NE(out.find("# TYPE pp_serve_latency_interactive_usec histogram\n"),
+            std::string::npos);
   // 4 lands in le=4; cumulative from there on, through +Inf == count.
-  EXPECT_NE(out.find("pp_serve_batch_size_bucket{le=\"2\"} 0\n"), std::string::npos);
-  EXPECT_NE(out.find("pp_serve_batch_size_bucket{le=\"4\"} 1\n"), std::string::npos);
-  EXPECT_NE(out.find("pp_serve_batch_size_bucket{le=\"+Inf\"} 1\n"), std::string::npos);
-  EXPECT_NE(out.find("pp_serve_batch_size_sum 4\n"), std::string::npos);
-  EXPECT_NE(out.find("pp_serve_batch_size_count 1\n"), std::string::npos);
+  EXPECT_NE(out.find("pp_serve_latency_interactive_usec_bucket{le=\"2\"} 0\n"),
+            std::string::npos);
+  EXPECT_NE(out.find("pp_serve_latency_interactive_usec_bucket{le=\"4\"} 1\n"),
+            std::string::npos);
+  EXPECT_NE(out.find("pp_serve_latency_interactive_usec_bucket{le=\"+Inf\"} 1\n"),
+            std::string::npos);
+  EXPECT_NE(out.find("pp_serve_latency_interactive_usec_sum 4\n"), std::string::npos);
+  EXPECT_NE(out.find("pp_serve_latency_interactive_usec_count 1\n"), std::string::npos);
   pp::metrics::reset_for_tests();
 }
 

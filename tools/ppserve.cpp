@@ -2,8 +2,8 @@
 //
 // Speaks newline-delimited JSON. Each request line names a solver and an
 // input size; the daemon builds the input with the registry's per-problem
-// factory, submits it to the async engine (admission control + dynamic
-// micro-batching), and writes one response line per request, in request
+// factory, submits it to the async engine (admission control, dedup and
+// result cache), and writes one response line per request, in request
 // order per connection:
 //
 //   $ echo '{"solver":"lis/parallel","n":20000,"seed":3}' | ppserve
@@ -27,7 +27,7 @@
 //                deadline blown mid-run cancels the solve at the next
 //                phase boundary ("cancelled" error)
 //   priority     "interactive" (default) or "batch": interactive requests
-//                pop first and batch requests never share their flushes
+//                pop first
 //   stats        true: respond with the engine_stats counters (submitted /
 //                completed / failed / expired / cancelled / batches / ...)
 //                instead of running a solver
@@ -89,8 +89,8 @@
 //                 shows the server timeline around that request, not that
 //                 request alone. Load in Perfetto / chrome://tracing.
 //
-// Engine knobs: --max-inflight R, --workers-per-run W, --batch-window-us U,
-// --max-batch K, --queue N, --backend B, --seed S, --max-n N,
+// Engine knobs: --max-inflight R, --workers-per-run W, --queue N,
+// --backend B, --seed S, --max-n N,
 // --relax-k K (k-MultiQueue relaxation factor for relaxed-paradigm solvers),
 // --cache-entries N (result-cache capacity, default 256), --cache-off
 // (disable the result cache; in-flight dedup stays on).
@@ -237,8 +237,7 @@ std::string parse_solve_fields(const pp::json::value& doc, pp::serve::request& r
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--port P] [--metrics-port P] [--trace-dir DIR]\n"
-               "          [--max-inflight R] [--workers-per-run W]\n"
-               "          [--batch-window-us U] [--max-batch K] [--queue N]\n"
+               "          [--max-inflight R] [--workers-per-run W] [--queue N]\n"
                "          [--backend native|sequential] [--seed S] [--max-n N]\n"
                "          [--relax-k K] [--cache-entries N] [--cache-off]\n"
                "          [--max-sessions N]\n"
@@ -250,15 +249,15 @@ int usage(const char* argv0) {
 
 // One request line -> one response line, responses in request order. The
 // reader thread parses and submits; a writer thread waits on each entry's
-// future in turn and prints, so pipelined lines coalesce in the engine
-// while an interactive client still gets each response as soon as its
-// batch lands (not only at the next input line).
+// future in turn and prints, so pipelined lines run concurrently in the
+// engine while an interactive client still gets each response as soon as
+// its execution lands (not only at the next input line).
 struct session {
   session(pp::serve::engine& eng, pp::serve::session_table& tab) : eng_(eng), tab_(tab) {}
 
   // Parse + submit. Any problem with the line itself becomes an
   // immediately-queued error entry; well-formed requests queue a future
-  // and respond when their batch completes.
+  // and respond when their execution completes.
   void feed_line(const std::string& line) {
     if (line.find_first_not_of(" \t\r") == std::string::npos) return;  // blank: ignore
     // Count only real requests: a blank line must not consume a default-id
@@ -858,13 +857,6 @@ int main(int argc, char** argv) {
       opt.eng.workers_per_run = static_cast<unsigned>(
           pp_cli::parse_int(argv[0], "--workers-per-run", need("--workers-per-run"), 0,
                             pp::detail::kMaxNativeWorkers));
-    } else if (std::strcmp(argv[i], "--batch-window-us") == 0) {
-      // 0 = flush immediately (valid); negative windows are nonsense.
-      opt.eng.batch_window = std::chrono::microseconds(pp_cli::parse_int(
-          argv[0], "--batch-window-us", need("--batch-window-us"), 0, 60'000'000));
-    } else if (std::strcmp(argv[i], "--max-batch") == 0) {
-      opt.eng.max_batch = static_cast<size_t>(
-          pp_cli::parse_int(argv[0], "--max-batch", need("--max-batch"), 1, 1'000'000));
     } else if (std::strcmp(argv[i], "--queue") == 0) {
       opt.eng.queue_capacity = static_cast<size_t>(
           pp_cli::parse_int(argv[0], "--queue", need("--queue"), 1, 100'000'000));
