@@ -270,11 +270,16 @@ const registry::solver_entry& registry::find_solver(std::string_view name) {
 
 run_result<solver_value> registry::run(std::string_view name, const problem_input& input,
                                        const context& ctx) {
+  return run(name, input, ctx, fingerprint_of(input));
+}
+
+run_result<solver_value> registry::run(std::string_view name, const problem_input& input,
+                                       const context& ctx, const fingerprint& input_fp) {
   const solver_entry& e = find_solver(name);
   auto res = run_timed(e.info.name, ctx,
                        [&](const context& c) -> solver_value { return e.fn(input, c); });
   res.stats = stats_of(res.value);  // the variant hides the payload's .stats member
-  res.input_fp = fingerprint_of(input);
+  res.input_fp = input_fp;
   return res;
 }
 

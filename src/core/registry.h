@@ -271,6 +271,11 @@ class registry {
   // alternative for the solver's problem.
   static run_result<solver_value> run(std::string_view name, const problem_input& input,
                                       const context& ctx = default_context());
+  // The same, for a caller that already holds fingerprint_of(input) (the
+  // serving engine computes it at admission): the envelope carries
+  // `input_fp` as given instead of canonicalizing the input again.
+  static run_result<solver_value> run(std::string_view name, const problem_input& input,
+                                      const context& ctx, const fingerprint& input_fp);
 
   // Batched dispatch: run `name` on every input under ONE run_scope (one
   // scoped_context + one scheduler binding), so the pool lease is paid

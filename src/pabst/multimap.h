@@ -64,6 +64,8 @@ class pivot_multimap {
     std::vector<size_t> offsets(groups.size() + 1, 0);
     for (size_t i = 0; i < groups.size(); ++i) offsets[i + 1] = offsets[i] + groups[i].size();
     std::vector<V> out(offsets.back());
+    // Default grain, not 1: a wake-up group holds a handful of values, so
+    // the serial cutoff's per-element assumption fits this loop.
     parallel_for(0, groups.size(), [&](size_t g) {
       for (size_t j = 0; j < groups[g].size(); ++j)
         out[offsets[g] + j] = groups[g][j].key.val;

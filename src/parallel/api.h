@@ -145,14 +145,34 @@ void par_do(L&& left, R&& right) {
 
 namespace detail {
 
-// Grain heuristic: enough sub-ranges to balance (8 per worker) but never
-// absurdly small pieces. A parallel for-loop has O(log n) span from the
-// recursive splitting, matching the model in the paper.
+// Serial cutoff: auto_grain never makes a piece smaller than this many
+// iterations, so a loop of up to kSerialCutoff iterations runs inline and
+// never forks. A fork costs a deque lock and a possible wake-up, which on
+// a per-element body dwarfs the iteration itself; round-heavy solves run a
+// small frontier loop in every round. The PAM idiom (fork only when
+// n > 256) is the model.
+inline constexpr size_t kSerialCutoff = 256;
+
+// Grain heuristic: enough sub-ranges to balance (8 per worker), but never
+// fewer than kSerialCutoff iterations per piece. A parallel for-loop has
+// O(log n) span from the recursive splitting, matching the model in the
+// paper. The cutoff assumes a per-element body: a coarse loop, whose body
+// handles a whole block (the scan and counting-sort block loops, the
+// MultiQueue's per-worker loop), passes an explicit grain of 1; the range
+// tree's per-node build loops pass kSerialCutoff / node size.
 inline size_t auto_grain(size_t n, unsigned workers) {
   size_t pieces = static_cast<size_t>(workers) * 8;
   size_t g = n / (pieces == 0 ? 1 : pieces);
-  if (g < 1) g = 1;
-  return g;
+  return g < kSerialCutoff ? kSerialCutoff : g;
+}
+
+// The grain a loop of n iterations runs at under `ctx`: an explicit
+// per-call grain, else ctx.grain, else auto_grain. The sequential backend
+// never splits.
+inline size_t resolve_grain(const context& ctx, size_t n, size_t grain) {
+  if (ctx.backend == backend_kind::sequential) return n;
+  if (grain == 0) grain = ctx.grain;
+  return grain != 0 ? grain : auto_grain(n, num_workers(ctx));
 }
 
 template <typename F>
@@ -170,18 +190,11 @@ void parallel_for_rec(const context& ctx, size_t lo, size_t hi, F& f, size_t gra
 }  // namespace detail
 
 // Apply f(i) for i in [lo, hi). `grain` = 0 defers to ctx.grain, then to
-// the auto heuristic.
+// the auto heuristic (see detail::resolve_grain).
 template <typename F>
 void parallel_for(const context& ctx, size_t lo, size_t hi, F f, size_t grain = 0) {
   if (hi <= lo) return;
-  size_t n = hi - lo;
-  if (grain == 0) grain = ctx.grain;
-  if (ctx.backend == backend_kind::sequential) {
-    for (size_t i = lo; i < hi; ++i) f(i);
-    return;
-  }
-  if (grain == 0) grain = detail::auto_grain(n, num_workers(ctx));
-  detail::parallel_for_rec(ctx, lo, hi, f, grain);
+  detail::parallel_for_rec(ctx, lo, hi, f, detail::resolve_grain(ctx, hi - lo, grain));
 }
 
 template <typename F>

@@ -20,12 +20,11 @@ namespace pp {
 // reduce
 // ---------------------------------------------------------------------------
 
-// Reduce f(lo..hi) with an associative `combine`; `map(i)` produces the i-th
-// leaf value. O(n) work, O(log n) span.
+namespace detail {
+
 template <typename T, typename Map, typename Combine>
-T reduce_map(size_t lo, size_t hi, T identity, Map map, Combine combine, size_t grain = 0) {
-  if (hi <= lo) return identity;
-  if (grain == 0) grain = detail::auto_grain(hi - lo, num_workers());
+T reduce_rec(const context& ctx, size_t lo, size_t hi, const T& identity, Map& map,
+             Combine& combine, size_t grain) {
   if (hi - lo <= grain) {
     T acc = identity;
     for (size_t i = lo; i < hi; ++i) acc = combine(acc, map(i));
@@ -33,9 +32,23 @@ T reduce_map(size_t lo, size_t hi, T identity, Map map, Combine combine, size_t 
   }
   size_t mid = lo + (hi - lo) / 2;
   T left{}, right{};
-  par_do([&] { left = reduce_map(lo, mid, identity, map, combine, grain); },
-         [&] { right = reduce_map(mid, hi, identity, map, combine, grain); });
+  par_do(
+      ctx, [&] { left = reduce_rec(ctx, lo, mid, identity, map, combine, grain); },
+      [&] { right = reduce_rec(ctx, mid, hi, identity, map, combine, grain); });
   return combine(left, right);
+}
+
+}  // namespace detail
+
+// Reduce f(lo..hi) with an associative `combine`; `map(i)` produces the i-th
+// leaf value. O(n) work, O(log n) span. The grain resolves like
+// parallel_for's: explicit, then ctx.grain, then auto_grain.
+template <typename T, typename Map, typename Combine>
+T reduce_map(size_t lo, size_t hi, T identity, Map map, Combine combine, size_t grain = 0) {
+  if (hi <= lo) return identity;
+  const context& ctx = current_context();
+  return detail::reduce_rec(ctx, lo, hi, identity, map, combine,
+                            detail::resolve_grain(ctx, hi - lo, grain));
 }
 
 template <typename T, typename Combine>
@@ -78,7 +91,7 @@ T scan_exclusive(std::span<T> xs, T identity, Combine combine) {
     T acc = identity;
     for (size_t i = lo; i < hi; ++i) acc = combine(acc, xs[i]);
     sums[b] = acc;
-  });
+  }, /*grain=*/1);
   T total = identity;
   for (size_t b = 0; b < nblocks; ++b) {
     T next = combine(total, sums[b]);
@@ -93,7 +106,7 @@ T scan_exclusive(std::span<T> xs, T identity, Combine combine) {
       xs[i] = acc;
       acc = next;
     }
-  });
+  }, /*grain=*/1);
   return total;
 }
 
@@ -119,7 +132,7 @@ T scan_inclusive(std::span<T> xs, T identity, Combine combine) {
       xs[i] = acc;
     }
     sums[b] = acc;
-  });
+  }, /*grain=*/1);
   std::vector<T> offsets(nblocks);
   T total = identity;
   for (size_t b = 0; b < nblocks; ++b) {
@@ -129,7 +142,7 @@ T scan_inclusive(std::span<T> xs, T identity, Combine combine) {
   parallel_for(1, nblocks, [&](size_t b) {
     size_t lo = b * bsize, hi = std::min(n, lo + bsize);
     for (size_t i = lo; i < hi; ++i) xs[i] = combine(offsets[b], xs[i]);
-  });
+  }, /*grain=*/1);
   return total;
 }
 

@@ -59,20 +59,14 @@ work_stealing_pool::~work_stealing_pool() {
 
 void work_stealing_pool::attach() {
   assert(tl_pool == nullptr && "thread already works for a pool");
+  // No wake-up here: parked workers stay parked until the run's first
+  // fork pushes a job, so a run that never forks never wakes them.
   tl_pool = this;
   tl_worker_id = 0;
-  {
-    // The lock orders the flag flip against the workers' predicate check,
-    // so a worker that just decided to park cannot miss the wake-up.
-    sync::lock_guard<sync::mutex> lk(sleep_m_);
-    active_.store(true, std::memory_order_release);
-  }
-  sleep_cv_.notify_all();
 }
 
 void work_stealing_pool::detach() {
   assert(tl_pool == this && tl_worker_id == 0);
-  active_.store(false, std::memory_order_release);
   tl_pool = nullptr;
   tl_worker_id = -1;
 }
@@ -89,7 +83,18 @@ void work_stealing_pool::push(job* j) {
     sync::lock_guard<sync::mutex> lk(s.m);
     s.q.push_back(j);
   }
-  jobs_available_.fetch_add(1, std::memory_order_release);
+  // seq_cst on both sides pairs this increment with park()'s sleepers_
+  // increment: either the push sees the parked worker and wakes it, or the
+  // worker's predicate sees the new count and does not block. With no
+  // worker parked, the push skips the notify (and the condition
+  // variable's internal lock) entirely.
+  jobs_available_.fetch_add(1, std::memory_order_seq_cst);
+  if (sleepers_.load(std::memory_order_seq_cst) == 0) return;
+  {
+    // A worker between its predicate check and its block holds sleep_m_;
+    // taking it here means the notify below cannot fall into that gap.
+    sync::lock_guard<sync::mutex> lk(sleep_m_);
+  }
   sleep_cv_.notify_one();
 }
 
@@ -137,6 +142,14 @@ job* work_stealing_pool::try_steal(unsigned thief_id) {
   return nullptr;
 }
 
+bool work_stealing_pool::any_queued() {
+  for (auto& s : deques_) {
+    sync::lock_guard<sync::mutex> lk(s->m);
+    if (!s->q.empty()) return true;
+  }
+  return false;
+}
+
 void work_stealing_pool::wait_for(job& j) {
   int id = worker_id();
   unsigned self = id < 0 ? 0 : static_cast<unsigned>(id);
@@ -158,36 +171,36 @@ void work_stealing_pool::wait_for(job& j) {
   }
 }
 
+void work_stealing_pool::park(uint64_t seen) {
+  sync::unique_lock<sync::mutex> lk(sleep_m_);
+  sleepers_.fetch_add(1, std::memory_order_seq_cst);
+  // No timeout: push() notifies whenever a worker is parked, and the
+  // caller found every deque empty after reading `seen`, so a parked
+  // worker misses no job, whether or not its pool is leased.
+  sleep_cv_.wait(lk, [&] {
+    return shutdown_.load(std::memory_order_acquire) ||
+           jobs_available_.load(std::memory_order_seq_cst) != seen;
+  });
+  sleepers_.fetch_sub(1, std::memory_order_relaxed);
+}
+
 void work_stealing_pool::worker_loop(unsigned id) {
   tl_pool = this;
   tl_worker_id = static_cast<int>(id);
   unsigned idle_spins = 0;
   while (!shutdown_.load(std::memory_order_acquire)) {
+    // Read before the steal attempt, so a push landing after the attempt
+    // fails still wakes park() below.
+    uint64_t seen = jobs_available_.load(std::memory_order_seq_cst);
     job* j = try_pop_local(id);
     if (j == nullptr) j = try_steal(id);
     if (j != nullptr) {
       j->execute();
       idle_spins = 0;
-      continue;
-    }
-    if (++idle_spins < 64) {
+    } else if (++idle_spins < 64) {
       std::this_thread::yield();
     } else {
-      uint64_t seen = jobs_available_.load(std::memory_order_acquire);
-      sync::unique_lock<sync::mutex> lk(sleep_m_);
-      if (!active_.load(std::memory_order_acquire)) {
-        // The pool is idle in the cache (no lease holder): park until the
-        // next attach instead of polling. A leased-but-quiet pool keeps
-        // the short timed wait so a missed push notification costs at
-        // most 1ms of steal latency.
-        sleep_cv_.wait(lk, [&] {
-          return shutdown_.load(std::memory_order_acquire) ||
-                 active_.load(std::memory_order_acquire) ||
-                 jobs_available_.load(std::memory_order_acquire) != seen;
-        });
-      } else {
-        sleep_cv_.wait_for(lk, std::chrono::milliseconds(1));
-      }
+      if (!any_queued()) park(seen);
       idle_spins = 0;
     }
   }

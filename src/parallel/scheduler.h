@@ -116,17 +116,22 @@ class work_stealing_pool {
   };
 
   void worker_loop(unsigned id);
+  // Block until a push newer than `seen` or shutdown.
+  void park(uint64_t seen);
   job* try_pop_local(unsigned id);
   job* try_steal(unsigned thief_id);
+  // Whether any deque holds a job, taking every deque's lock (try_steal
+  // only try-locks, so contention can make it miss a queued job).
+  bool any_queued();
 
   std::vector<std::unique_ptr<deque_slot>> deques_;
   std::vector<std::thread> threads_;
   std::atomic<bool> shutdown_{false};
-  std::atomic<bool> active_{false};          // a lease holder is attached
   std::atomic<uint64_t> jobs_available_{0};  // wake hint for sleeping workers
-  // Orders the atomic flag flips above against the workers' parking
-  // predicate (guards no data of its own — the flags stay atomics so the
-  // hot paths read them lock-free).
+  std::atomic<unsigned> sleepers_{0};        // workers inside park()
+  // Orders shutdown and pushes against the workers' parking predicate
+  // (guards no data of its own — the counters stay atomics so the hot
+  // paths read them lock-free).
   sync::mutex sleep_m_;
   std::condition_variable_any sleep_cv_;
 };

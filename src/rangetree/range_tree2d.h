@@ -128,7 +128,7 @@ class range_tree2d {
             if ((id & half) == 0) next[lw++] = id;
             else next[rw++] = id;
           }
-        });
+        }, node_grain(m));
         std::swap(ids_by_y, next);
       }
     }
@@ -243,6 +243,14 @@ class range_tree2d {
   }
 
  private:
+  // Grain of a per-node loop over nodes of m slots: enough nodes that a
+  // piece covers the serial cutoff's worth of slots. The loop body handles
+  // a whole node, so the default per-iteration cutoff would serialize the
+  // top levels of the tree.
+  static size_t node_grain(uint32_t m) {
+    return std::max<size_t>(1, detail::kSerialCutoff / m);
+  }
+
   void build_level_segtree(uint32_t lv) {
     uint32_t m = n_pad_ >> lv;
     seg_[lv].assign(2 * n_pad_, Agg::identity());
@@ -258,7 +266,7 @@ class range_tree2d {
       auto* st = seg_[lv].data() + base;
       for (uint32_t i = m - 1; i >= 1; --i)
         st[i] = Agg::combine(st[2 * i], st[2 * i + 1], hash64(rng_ ^ (base + i)));
-    });
+    }, node_grain(m));
   }
 
   // Monoid sum of the first `cnt_y` smallest-y points of the node at

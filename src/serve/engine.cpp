@@ -422,7 +422,8 @@ void engine::execute(pending p, const cancel_token& token) {
   response r;
   try {
     trace_span flush("serve/flush");
-    r.result = registry::run(p.solver, p.input, exec_ctx_.with_seed(p.seed).with_cancel(token));
+    r.result = registry::run(p.solver, p.input, exec_ctx_.with_seed(p.seed).with_cancel(token),
+                             p.fp);
     // Cancellation path annotation: the deadline token fired mid-run (the
     // solve unwound at a phase boundary).
     flush.args("cancelled", r.result.cancelled() ? 1 : 0);

@@ -6,10 +6,13 @@
 // scheduling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
+#include "checkers.h"
 #include "core/registry.h"
 #include "test_backends.h"
 
@@ -22,6 +25,29 @@ const std::vector<backend_kind> kBackends = pp_test::backends_under_test();
 
 pp::context ctx_for(backend_kind b, uint64_t seed) {
   return pp::context{}.with_backend(b).with_seed(seed);
+}
+
+// Every payload's answer as one word sequence: its per-element array plus
+// its score. Equal sequences mean bit-identical answers (stats excluded).
+std::vector<int64_t> answer_of(const pp::solver_value& v) {
+  std::vector<int64_t> out;
+  std::visit(
+      [&](const auto& r) {
+        auto add = [&](const auto& xs) {
+          for (auto x : xs) out.push_back(static_cast<int64_t>(x));
+        };
+        if constexpr (requires { r.dp; }) add(r.dp);
+        if constexpr (requires { r.rank; }) add(r.rank);
+        if constexpr (requires { r.color; }) add(r.color);
+        if constexpr (requires { r.parent; }) add(r.parent);
+        if constexpr (requires { r.partner; }) add(r.partner);
+        if constexpr (requires { r.in_mis; }) add(r.in_mis);
+        if constexpr (requires { r.perm; }) add(r.perm);
+        if constexpr (requires { r.dist; }) add(r.dist);
+      },
+      v);
+  out.push_back(pp::score_of(v));
+  return out;
 }
 
 TEST(Determinism, LisParallelAcrossBackends) {
@@ -167,6 +193,43 @@ TEST(Determinism, BatchMatchesSequentialLoopForEverySolver) {
         EXPECT_EQ(batch.workers, w) << s.name << "/" << pp::backend_name(b);
         EXPECT_EQ(batch.scores, ref_scores)
             << s.name << "/" << pp::backend_name(b) << " workers=" << w;
+      }
+    }
+  }
+}
+
+TEST(Determinism, AnswersIndependentOfGrain) {
+  // The grain only decides where loops fork. Sweep it from one iteration
+  // per piece (every loop forks down to single elements, including the
+  // loops the serial cutoff keeps inline at the default grain) through the
+  // default and the cutoff up to n (nothing below the top forks): every
+  // solver on the native backend at the machine's width must reproduce
+  // the sequential backend's answer bit for bit, and phase solvers their
+  // round counts. Relaxed solvers promise structure, not bits
+  // (checkers.h).
+  const size_t n = 1'000;
+  const uint64_t seed = 61;
+  const size_t grains[] = {1, 7, 0, 256, n};  // 0 = the auto heuristic
+  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+
+  auto& reg = registry::instance();
+  for (const auto& s : reg.solvers()) {
+    auto in = reg.make_input(s.problem, n, seed);
+    auto ref = registry::run(s.name, in, ctx_for(backend_kind::sequential, seed));
+    const bool relaxed = pp::paradigm_of(s) == pp::solver_paradigm::relaxed;
+    for (size_t g : grains) {
+      auto res = registry::run(
+          s.name, in, ctx_for(backend_kind::native, seed).with_workers(hw).with_grain(g));
+      EXPECT_EQ(res.workers, hw) << s.name;
+      if (relaxed) {
+        std::string why;
+        EXPECT_TRUE(pp_check::structurally_valid(s.name, in, res.value, ref.value, &why))
+            << why << " grain=" << g;
+        continue;
+      }
+      EXPECT_EQ(answer_of(res.value), answer_of(ref.value)) << s.name << " grain=" << g;
+      if (pp::paradigm_of(s) == pp::solver_paradigm::phase) {
+        EXPECT_EQ(res.stats.rounds, ref.stats.rounds) << s.name << " grain=" << g;
       }
     }
   }

@@ -13,6 +13,7 @@
 
 #include "core/registry.h"
 #include "parallel/api.h"
+#include "parallel/primitives.h"
 #include "test_backends.h"
 
 namespace {
@@ -174,6 +175,62 @@ TEST(Scheduler, WiderContextUsesMultipleThreads) {
     off_thread = seen.size() > 1;
   }
   EXPECT_TRUE(off_thread) << "2-worker runs never left the calling thread";
+}
+
+TEST(Scheduler, SerialCutoffKeepsSmallLoopsOnTheCaller) {
+  // A default-grain loop no longer than the serial cutoff never forks: all
+  // 200 iterations run on the calling thread even with 4 workers.
+  static_assert(200 <= pp::detail::kSerialCutoff);
+  pp::context ctx = pp::context{}.with_backend(pp::backend_kind::native).with_workers(4);
+  const auto caller = std::this_thread::get_id();
+  std::mutex m;
+  std::set<std::thread::id> seen;
+  pp::parallel_for(ctx, 0, 200, [&](size_t) {
+    std::lock_guard<std::mutex> lk(m);
+    seen.insert(std::this_thread::get_id());
+  }, /*grain=*/0);
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(*seen.begin(), caller);
+}
+
+// A counter whose addition records, now and then, which thread performs
+// it: the scan's block loops are the only callers of operator+ on
+// elements, so the recorded ids are the threads those loops ran on.
+struct thread_probe {
+  uint64_t v = 0;
+  static std::mutex m;
+  static std::set<std::thread::id> seen;
+  friend thread_probe operator+(thread_probe a, thread_probe b) {
+    if ((a.v & 0xffff) == 0) {
+      std::lock_guard<std::mutex> lk(m);
+      seen.insert(std::this_thread::get_id());
+    }
+    return {a.v + b.v};
+  }
+};
+std::mutex thread_probe::m;
+std::set<std::thread::id> thread_probe::seen;
+
+TEST(Scheduler, LargeScanStillLeavesTheCallingThread) {
+  // The cutoff must not serialize coarse loops: a scan's block loop has
+  // only 8 x workers iterations, each a whole block, so it forks at grain 1
+  // and some block runs off the calling thread (steals are stochastic, so
+  // retry).
+  pp::context ctx = pp::context{}.with_backend(pp::backend_kind::native).with_workers(4);
+  pp::run_scope scope(ctx);
+  const size_t n = size_t{1} << 20;
+  const auto caller = std::this_thread::get_id();
+  bool off_thread = false;
+  for (int attempt = 0; attempt < 20 && !off_thread; ++attempt) {
+    thread_probe::seen.clear();
+    std::vector<thread_probe> xs(n, thread_probe{1});
+    thread_probe total = pp::scan_exclusive_add(std::span<thread_probe>(xs));
+    ASSERT_EQ(total.v, n);
+    for (size_t i = 0; i < n; i += 4099) ASSERT_EQ(xs[i].v, i);
+    EXPECT_TRUE(thread_probe::seen.count(caller));
+    off_thread = thread_probe::seen.size() > 1;
+  }
+  EXPECT_TRUE(off_thread) << "a 1<<20 scan on 4 workers never left the calling thread";
 }
 
 TEST(Scheduler, PoolCacheReusesByWidth) {

@@ -470,7 +470,7 @@ TEST(Serve, InteractiveProbesCompleteUnderSaturatingBatchLoad) {
 TEST(Serve, MidRunDeadlineCancelsFasterThanFullSolve) {
   // Acceptance: a deadline that expires mid-run resolves its request with
   // `cancelled` in (much) less than the solver's full solve time.
-  auto in = registry::instance().make_input("lis", 8'000, 11);
+  auto in = registry::instance().make_input("lis", 24'000, 11);
   engine_options opt;
   opt.max_inflight_runs = 1;
   opt.workers_per_run = 2;
@@ -708,6 +708,9 @@ TEST(Serve, CachedAndDedupedMatchStandaloneForEverySolver) {
     EXPECT_EQ(pp::score_of(ra.result.value), pp::score_of(solo.value)) << names[i];
     EXPECT_EQ(pp::summary_of(ra.result.value), pp::summary_of(solo.value)) << names[i];
     EXPECT_EQ(ra.result.input_fp, solo.input_fp) << names[i];
+    // The engine hands its admission fingerprint to the run; the envelope
+    // still carries the input's canonical fingerprint.
+    EXPECT_EQ(ra.result.input_fp, pp::fingerprint_of(in)) << names[i];
   }
 }
 
@@ -792,7 +795,7 @@ TEST(Serve, CancelledSoleExecutionIsNotCached) {
   // A cancelled result must never be served to later traffic: resubmitting
   // the same (solver, fingerprint, seed) after a mid-run cancellation
   // executes fresh and succeeds.
-  auto in = registry::instance().make_input("lis", 8'000, 11);
+  auto in = registry::instance().make_input("lis", 24'000, 11);
   engine_options opt;
   opt.max_inflight_runs = 1;
   opt.workers_per_run = 2;
@@ -826,7 +829,7 @@ TEST(Serve, RunningCancellableExecutionRefusesJoiners) {
   // A duplicate arriving while a CANCELLABLE twin is mid-run must not
   // attach (the shared token could poison it); it queues its own execution
   // instead — correct, just uncollapsed.
-  auto in = registry::instance().make_input("lis", 8'000, 13);
+  auto in = registry::instance().make_input("lis", 24'000, 13);
   engine_options opt;
   opt.max_inflight_runs = 1;
   opt.workers_per_run = 2;
