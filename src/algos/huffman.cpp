@@ -94,6 +94,12 @@ huffman_result huffman_parallel(std::span<const uint64_t> freqs) {
     return live_node{freqs[i], static_cast<uint32_t>(i)};
   });
   uint32_t next_id = static_cast<uint32_t>(n);
+  // Scratch reused by every round: the rounds allocate nothing, so the cost
+  // of a solve does not hinge on whether the allocator maps fresh pages
+  // for each round's arrays.
+  std::vector<live_node> merged, next;
+  merged.reserve(n / 2);
+  next.reserve(n);
 
   while (cur.size() > 1) {
     cancel_point();  // between merge rounds: quiescent, cancellable
@@ -110,7 +116,7 @@ huffman_result huffman_parallel(std::span<const uint64_t> freqs) {
     size_t k = t / 2;
     res.stats.record_frontier(t);
 
-    std::vector<live_node> merged(k);
+    merged.resize(k);
     parallel_for(0, k, [&](size_t p) {
       const live_node& a = cur[2 * p];
       const live_node& b = cur[2 * p + 1];
@@ -123,12 +129,12 @@ huffman_result huffman_parallel(std::span<const uint64_t> freqs) {
 
     // merged sums are nondecreasing (pairs of a sorted sequence); combine
     // with the untouched tail by parallel merge.
-    std::vector<live_node> next(merged.size() + (cur.size() - t));
+    next.resize(merged.size() + (cur.size() - t));
     auto less = [](const live_node& a, const live_node& b) { return a.freq < b.freq; };
     detail::parallel_merge(std::span<const live_node>(merged),
                            std::span<const live_node>(cur.data() + t, cur.size() - t),
                            std::span<live_node>(next), less);
-    cur = std::move(next);
+    cur.swap(next);
   }
   finalize(res, freqs);
   return res;

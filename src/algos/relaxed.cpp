@@ -17,6 +17,7 @@ void fold_counters(phase_stats& st, const mq_counters& c) {
   st.popped = c.popped;
   st.wasted = c.wasted;
   st.retries = c.retries;
+  st.relaxations = c.relaxations;
 }
 
 }  // namespace
@@ -240,7 +241,6 @@ sssp_result sssp_relaxed(const wgraph& g, vertex_t source) {
   std::vector<std::atomic<int64_t>> dist(n);
   parallel_for(ctx, 0, n,
                [&](size_t v) { dist[v].store(kInfDist, std::memory_order_relaxed); });
-  std::atomic<size_t> relaxations{0};
 
   multiqueue q(ctx.relax_k);
   if (n > 0) {
@@ -266,7 +266,7 @@ sssp_result sssp_relaxed(const wgraph& g, vertex_t source) {
         ++improved;
       }
     }
-    relaxations.fetch_add(improved, std::memory_order_relaxed);
+    w.relaxations(improved);
   });
 
   sssp_result res;
@@ -274,7 +274,6 @@ sssp_result sssp_relaxed(const wgraph& g, vertex_t source) {
   parallel_for(ctx, 0, n,
                [&](size_t v) { res.dist[v] = dist[v].load(std::memory_order_relaxed); });
   res.stats.processed = n;
-  res.stats.relaxations = relaxations.load(std::memory_order_relaxed);
   fold_counters(res.stats, c);
   return res;
 }

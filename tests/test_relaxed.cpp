@@ -62,6 +62,28 @@ TEST(Relaxed, StructurallyValidAcrossBackendsAndK) {
       }
     }
   }
+
+  // Four native workers at a size where they contend: k=1 leaves two
+  // shards for four workers, the most try-lock misses the MultiQueue sees.
+  const size_t big_n = 5'000;
+  const uint64_t seed = 7;
+  for (const auto& [name, ref_name] : kRelaxed) {
+    auto input = reg.make_input(reg.info(name)->problem, big_n, seed);
+    auto ref = registry::run(
+        ref_name, input, pp::context{}.with_backend(pp::backend_kind::sequential).with_seed(seed));
+    for (unsigned k : {1u, 4u}) {
+      auto res = registry::run(name, input,
+                               pp::context{}
+                                   .with_backend(pp::backend_kind::native)
+                                   .with_workers(4)
+                                   .with_seed(seed)
+                                   .with_relax_k(k));
+      ASSERT_EQ(res.status, pp::run_status::ok) << name;
+      std::string why;
+      EXPECT_TRUE(pp_check::structurally_valid(name, input, res.value, ref.value, &why))
+          << why << " (native x4, n=" << big_n << " k=" << k << ")";
+    }
+  }
 }
 
 TEST(Relaxed, SchedulerCountersReachTheEnvelope) {
@@ -172,6 +194,49 @@ TEST(Relaxed, MultiQueueDrainsToZeroInFlight) {
   EXPECT_EQ(c.popped, static_cast<uint64_t>(kItems) + reinserted);
   // retries counts the re-inserts plus any empty-pop spins near the tail.
   EXPECT_GE(c.retries, reinserted);
+}
+
+TEST(Relaxed, MultiQueueFanOutDrainsToZeroInFlight) {
+  // Companion to the test above, under the most contention: 4 workers on
+  // k=1's two shards. Each claim of item i pushes fan(i) = 3, 1 or 0 fresh
+  // successors (by i % 3), taking their ids from a shared cursor and
+  // dropping ids >= kItems. Any prefix [0, r) of ids carries more than r
+  // fan-out in total, so the run cannot die out early: exactly kItems
+  // items are pushed, each once. The in-flight counter must survive claims
+  // whose successors are counted in one update before any is visible, and
+  // claims that retire with none.
+  constexpr uint32_t kItems = 20'000;
+  for (uint64_t rep = 0; rep < 20; ++rep) {
+    pp::context ctx = pp::context{}
+                          .with_backend(pp::backend_kind::native)
+                          .with_workers(4)
+                          .with_seed(100 + rep)
+                          .with_relax_k(1);
+    pp::run_scope scope(ctx);
+    pp::multiqueue q(ctx.relax_k);
+    ASSERT_EQ(q.num_shards(), 2u);
+    {
+      pp::random_stream rs(ctx.seed);
+      uint64_t draw = 0;
+      q.push(0, 0, rs, draw);
+    }
+    std::atomic<uint32_t> next_id{1};
+    std::vector<std::atomic<uint32_t>> hits(kItems);
+    for (auto& h : hits) h.store(0, std::memory_order_relaxed);
+    auto c = pp::mq_run(ctx, q, [&](pp::mq_worker& w, uint64_t, uint32_t item) {
+      hits[item].fetch_add(1, std::memory_order_relaxed);
+      const uint32_t fan = item % 3 == 0 ? 3 : item % 3 == 1 ? 1 : 0;
+      if (fan == 0) return;
+      const uint32_t first = next_id.fetch_add(fan, std::memory_order_relaxed);
+      for (uint32_t id = first; id < first + fan && id < kItems; ++id) w.push(id, id);
+    });
+    EXPECT_EQ(q.in_flight(), 0) << "rep " << rep;
+    EXPECT_EQ(c.popped, kItems) << "rep " << rep;
+    EXPECT_EQ(c.wasted, 0u);
+    size_t wrong = 0;
+    for (auto& h : hits) wrong += h.load(std::memory_order_relaxed) != 1;
+    EXPECT_EQ(wrong, 0u) << "items not processed exactly once, rep " << rep;
+  }
 }
 
 TEST(Relaxed, SsspExactOnHighDiameterGrid) {
