@@ -132,14 +132,14 @@ class multiqueue {
 
   // Best-of-two delete-min: compare the atomic tops of two distinct random
   // shards and pop the better one if its lock is free; otherwise draw a
-  // fresh pair. After kPopAttempts misses, or once both tops read empty,
+  // fresh pair. After kLockAttempts misses, or once both tops read empty,
   // sweep every non-empty shard under its lock so the last few elements of
   // a draining queue are still found. Returns false if every shard was
   // empty at the moment it was inspected.
   bool try_pop(entry& out, const random_stream& rs, uint64_t& draw) {
     const size_t n = shards_.size();
     size_t a = 0;
-    for (int attempt = 0; attempt < kPopAttempts; ++attempt) {
+    for (int attempt = 0; attempt < kLockAttempts; ++attempt) {
       a = rs.ith_bounded(draw++, n);
       size_t b = rs.ith_bounded(draw++, n);
       if (a == b) b = (b + 1) % n;
@@ -173,11 +173,10 @@ class multiqueue {
   friend class mq_worker;
 
   static constexpr uint64_t kEmpty = ~uint64_t{0};
-  // Bounds on try_lock misses before a pop falls back to the blocking
-  // sweep and a push waits for its shard: progress without sleeping on
-  // the hot path.
-  static constexpr int kPopAttempts = 4;
-  static constexpr int kPushAttempts = 4;
+  // Shards a pop or push tries with try_lock before it falls back to a
+  // blocking lock (the pop's sweep, the push's last shard): progress
+  // without sleeping on the hot path.
+  static constexpr int kLockAttempts = 4;
 
   // std::push_heap builds a max-heap; invert so the top is the *smallest*
   // priority.
@@ -207,12 +206,12 @@ class multiqueue {
   }
 
   // Insert without touching in_flight (the caller has counted `e`). Up to
-  // kPushAttempts - 1 try_locks on fresh draws, then a blocking lock on
+  // kLockAttempts - 1 try_locks on fresh draws, then a blocking lock on
   // one more; on one worker the first try_lock always succeeds, so an
   // insert costs exactly one draw.
   void insert(const entry& e, const random_stream& rs, uint64_t& draw) {
     const size_t n = shards_.size();
-    for (int attempt = 1; attempt < kPushAttempts; ++attempt) {
+    for (int attempt = 1; attempt < kLockAttempts; ++attempt) {
       shard& s = *shards_[rs.ith_bounded(draw++, n)];
       if (s.m.try_lock()) {
         push_locked(s, e);
